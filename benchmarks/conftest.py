@@ -19,6 +19,7 @@ import pathlib
 import pytest
 
 from repro.experiments.base import default_measured_joins, default_time_limit
+from repro.runner import RunnerConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -57,6 +58,12 @@ def bench_workers(default: int | None = None) -> int:
     if value == 0:  # same contract as --workers 0 / ParallelRunner(workers=0)
         value = os.cpu_count() or 1
     return max(1, value)
+
+
+def bench_runner() -> RunnerConfig:
+    """The runner every figure benchmark uses: :func:`bench_workers`
+    processes and no result cache, so each run simulates every point."""
+    return RunnerConfig(workers=bench_workers(), no_cache=True)
 
 
 @pytest.fixture

@@ -1,16 +1,17 @@
 """Benchmark: Fig. 1a — single-user response time vs. degree of parallelism."""
 
-from conftest import bench_workers, write_report
+from conftest import bench_runner, write_report
 
-from repro.experiments import figure1
+from repro.experiments.base import run_scenario
 
 
 def _run():
-    experiment = figure1.run(
+    experiment = run_scenario(
+        "figure1",
+        bench_runner(),
         num_pe=80,
         degrees=(1, 2, 4, 8, 16, 30, 60, 80),
         queries_per_point=2,
-        workers=bench_workers(),
     )
     return experiment
 

@@ -1,18 +1,19 @@
 """Benchmark: Fig. 5 — static degree of join parallelism (homogeneous load)."""
 
-from conftest import bench_joins, bench_time_limit, bench_workers, write_report
+from conftest import bench_joins, bench_time_limit, bench_runner, write_report
 
-from repro.experiments import figure5
+from repro.experiments.base import run_scenario
 
 SIZES = (10, 20, 40, 60, 80)
 
 
 def _run():
-    return figure5.run(
+    return run_scenario(
+        "figure5",
+        bench_runner(),
         system_sizes=SIZES,
         measured_joins=bench_joins(30),
         max_simulated_time=bench_time_limit(60.0),
-        workers=bench_workers(),
     )
 
 

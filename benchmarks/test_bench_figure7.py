@@ -1,20 +1,21 @@
 """Benchmark: Fig. 7 — memory/disk-bound environment."""
 
-from conftest import bench_joins, bench_time_limit, bench_workers, write_report
+from conftest import bench_joins, bench_time_limit, bench_runner, write_report
 
-from repro.experiments import figure7
+from repro.experiments.base import run_scenario
 from repro.experiments.figure7 import degree_table
 
 SIZES = (20, 40, 60, 80)
 
 
 def _run():
-    return figure7.run(
+    return run_scenario(
+        "figure7",
+        bench_runner(),
         system_sizes=SIZES,
         arrival_rates=(0.05, 0.025),
         measured_joins=bench_joins(25),
         max_simulated_time=bench_time_limit(90.0),
-        workers=bench_workers(),
     )
 
 

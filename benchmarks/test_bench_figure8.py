@@ -1,19 +1,20 @@
 """Benchmark: Fig. 8 — influence of join complexity (selectivity sweep)."""
 
-from conftest import bench_joins, bench_time_limit, bench_workers, write_report
+from conftest import bench_joins, bench_time_limit, bench_runner, write_report
 
-from repro.experiments import figure8
+from repro.experiments.base import run_scenario
 from repro.experiments.figure8 import improvement_table
 
 SELECTIVITIES = (0.001, 0.01, 0.05)
 
 
 def _run():
-    return figure8.run(
+    return run_scenario(
+        "figure8",
+        bench_runner(),
         selectivities=SELECTIVITIES,
         measured_joins=bench_joins(25),
         max_simulated_time=bench_time_limit(90.0),
-        workers=bench_workers(),
     )
 
 

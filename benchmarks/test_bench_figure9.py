@@ -1,21 +1,21 @@
 """Benchmark: Fig. 9a/9b — static vs. dynamic load balancing, mixed workloads."""
 
-from conftest import bench_joins, bench_time_limit, bench_workers, write_report
+from conftest import bench_joins, bench_time_limit, bench_runner, write_report
 
-from repro.experiments import figure9
+from repro.experiments.base import run_scenario
 
 SIZES = (10, 20, 40, 80)
 STRATEGIES = ("psu_opt+RANDOM", "psu_noIO+RANDOM", "psu_noIO+LUM", "pmu_cpu+LUM", "OPT-IO-CPU")
 
 
 def _run(placement):
-    return figure9.run(
-        oltp_placement=placement,
+    return run_scenario(
+        f"figure9{placement.lower()}",
+        bench_runner(),
         system_sizes=SIZES,
         strategies=STRATEGIES,
         measured_joins=bench_joins(20),
         max_simulated_time=bench_time_limit(40.0),
-        workers=bench_workers(),
     )
 
 

@@ -62,7 +62,7 @@ from repro.runner import (
     build_scenario,
     make_backend,
 )
-from repro.runner.queue import DEFAULT_LEASE_SECONDS
+from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
 from repro.scheduling.strategy import strategy_names
 from repro.simulation.driver import SimulationDriver

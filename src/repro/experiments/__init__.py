@@ -1,10 +1,9 @@
 """Reproduction of the paper's evaluation section, one module per figure.
 
 Each figure module declares its sweep as a :class:`repro.runner.ScenarioSpec`
-(registered by name in :mod:`repro.runner.registry`) and keeps a thin
-``run(...)`` wrapper that executes the spec through
-:class:`repro.runner.ParallelRunner`.  Importing this package populates the
-scenario registry.
+registered by name in :mod:`repro.runner.registry`;
+:func:`~repro.experiments.base.run_scenario` runs any of them by name.
+Importing this package populates the scenario registry.
 """
 
 from repro.experiments import (

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.config.parameters import SystemConfig
 from repro.simulation.driver import SimulationDriver
@@ -31,7 +31,6 @@ __all__ = [
     "AggregatedExperimentResult",
     "default_measured_joins",
     "default_time_limit",
-    "make_runner",
     "run_scenario",
     "run_point",
     "run_single_user_point",
@@ -316,50 +315,12 @@ def format_table(result: ExperimentResult, metric, unit: str, ci_metric=None) ->
     return "\n".join(lines)
 
 
-def make_runner(
-    config: Optional["RunnerConfig"] = None,
-    workers: Optional[int] = 1,
-    cache: Optional["ResultCache"] = None,
-    queue_dir: Optional[Union[str, "os.PathLike"]] = None,
-    queue_timeout: Optional[float] = None,
-    max_attempts: Optional[int] = None,
-):
-    """Select the execution driver for a scenario spec.
-
-    The preferred call passes one :class:`~repro.runner.RunnerConfig`; the
-    legacy keyword form (``workers``/``cache``/``queue_dir``/...) builds an
-    equivalent config and is kept for existing callers.  Without a queue
-    target this is a local :class:`~repro.runner.ParallelRunner` over
-    ``workers`` processes; with a queue directory or coordinator URL it is
-    a :class:`~repro.runner.DistributedRunner` coordinating independent
-    ``repro-lb worker`` processes (the backend's own result store replaces
-    ``cache``; ``workers`` is ignored).  Either driver folds results in
-    expansion order, so the choice never changes tables, aggregates or
-    exports.
-    """
-    if config is None:
-        from repro.runner import RunnerConfig
-
-        config = RunnerConfig(
-            workers=workers,
-            cache=cache,
-            # An explicit cache object means "exactly this cache" -- a None
-            # cache then disables caching rather than falling back to the
-            # default directory, matching the historical keyword form.
-            no_cache=cache is None,
-            queue_dir=queue_dir,
-            queue_timeout=queue_timeout,
-            max_retries=max_attempts,
-        )
-    return config.make_runner()
-
-
 def _resolve_runner(runner=None):
-    """A runner from ``None`` (serial default), a config, or a runner."""
+    """A runner from ``None`` (serial, uncached), a config, or a runner."""
     from repro.runner import RunnerConfig
 
     if runner is None:
-        return make_runner()
+        return RunnerConfig(no_cache=True).make_runner()
     if isinstance(runner, RunnerConfig):
         return runner.make_runner()
     return runner  # an already-built runner (anything with .run)
@@ -376,10 +337,9 @@ def run_scenario(
     Looks ``name`` up in the scenario registry, builds its spec with
     ``build_kwargs`` (the builder's own axes: ``system_sizes``,
     ``strategies``, ``max_simulated_time``, ...), applies ``replicates``
-    and runs it through ``runner`` -- ``None`` for the serial default, a
+    and runs it through ``runner`` -- ``None`` for a serial, uncached run, a
     :class:`~repro.runner.RunnerConfig` describing any driver, or a
-    pre-built runner.  The per-figure ``run(...)`` wrappers in
-    :mod:`repro.experiments` are one-line deprecated aliases of this.
+    pre-built runner.
     """
     from repro.runner import build_scenario
 

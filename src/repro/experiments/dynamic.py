@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
-    "run",
     "build_spec",
     "render_timeline_table",
     "STRATEGIES",
@@ -158,12 +157,3 @@ def build_mmpp_spec(**kwargs) -> ScenarioSpec:
 
 register_scenario("dynamic", build_spec)
 register_scenario("dynamic-mmpp", build_mmpp_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("dynamic", ...)``."""
-    return run_scenario("dynamic", make_runner(workers=workers, cache=cache), **kwargs)

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.faults.plan import FailuresEntry, FaultEvent, encode_failures
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
-    "run",
     "build_spec",
     "render_recovery_table",
     "render_availability_table",
@@ -198,12 +197,3 @@ def build_spec(
 
 
 register_scenario("faults", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("faults", ...)``."""
-    return run_scenario("faults", make_runner(workers=workers, cache=cache), **kwargs)

@@ -10,12 +10,11 @@ single-user executions with a fixed degree of parallelism.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
-__all__ = ["run", "build_spec", "DEGREES"]
+__all__ = ["build_spec", "DEGREES"]
 
 DEGREES = (1, 2, 4, 8, 16, 24, 30, 40, 60, 80)
 
@@ -54,12 +53,3 @@ def build_spec(
 
 
 register_scenario("figure1", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("figure1", ...)``."""
-    return run_scenario("figure1", make_runner(workers=workers, cache=cache), **kwargs)

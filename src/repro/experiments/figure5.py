@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.base import ExperimentResult, PAPER_SYSTEM_SIZES, make_runner, run_scenario
+from repro.experiments.base import PAPER_SYSTEM_SIZES
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
-__all__ = ["run", "build_spec", "STRATEGIES"]
+__all__ = ["build_spec", "STRATEGIES"]
 
 STRATEGIES = (
     "psu_noIO+RANDOM",
@@ -64,12 +64,3 @@ def build_spec(
 
 
 register_scenario("figure5", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("figure5", ...)``."""
-    return run_scenario("figure5", make_runner(workers=workers, cache=cache), **kwargs)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
-__all__ = ["run", "build_spec", "degree_table", "STRATEGIES", "SYSTEM_SIZES", "ARRIVAL_RATES"]
+__all__ = ["build_spec", "degree_table", "STRATEGIES", "SYSTEM_SIZES", "ARRIVAL_RATES"]
 
 STRATEGIES = ("pmu_cpu+LUM", "MIN-IO-SUOPT")
 SYSTEM_SIZES = (20, 30, 40, 60, 80)
@@ -70,12 +70,3 @@ def build_spec(
 
 
 register_scenario("figure7", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("figure7", ...)``."""
-    return run_scenario("figure7", make_runner(workers=workers, cache=cache), **kwargs)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
-__all__ = ["run", "build_spec", "STRATEGIES", "SELECTIVITIES", "improvement_table"]
+__all__ = ["build_spec", "STRATEGIES", "SELECTIVITIES", "improvement_table"]
 
 STRATEGIES = (
     "psu_noIO+LUM",
@@ -84,12 +84,3 @@ def build_spec(
 
 
 register_scenario("figure8", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("figure8", ...)``."""
-    return run_scenario("figure8", make_runner(workers=workers, cache=cache), **kwargs)

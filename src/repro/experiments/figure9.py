@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.base import (
-    PAPER_SYSTEM_SIZES,
-    ExperimentResult,
-    make_runner,
-    run_scenario,
-)
+from repro.experiments.base import PAPER_SYSTEM_SIZES
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
-__all__ = ["run", "build_spec", "STRATEGIES"]
+__all__ = ["build_spec", "STRATEGIES"]
 
 STRATEGIES = (
     "psu_opt+RANDOM",
@@ -64,15 +59,3 @@ def build_spec(
 
 register_scenario("figure9a", lambda **kwargs: build_spec(oltp_placement="A", **kwargs))
 register_scenario("figure9b", lambda **kwargs: build_spec(oltp_placement="B", **kwargs))
-
-
-def run(
-    oltp_placement: str = "A",
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("figure9a"/"figure9b", ...)``."""
-    return run_scenario(
-        f"figure9{oltp_placement.lower()}", make_runner(workers=workers, cache=cache), **kwargs
-    )

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
-    "run",
     "build_spec",
     "render_class_util_table",
     "STRATEGIES",
@@ -221,12 +220,3 @@ def build_spec(
 
 
 register_scenario("heterogeneous", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Deprecated alias for ``run_scenario("heterogeneous", ...)``."""
-    return run_scenario("heterogeneous", make_runner(workers=workers, cache=cache), **kwargs)

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult, make_runner, run_scenario
+from repro.experiments.base import ExperimentResult
 from repro.experiments.faults import _columns, render_recovery_table
 from repro.faults.plan import FailuresEntry, FaultEvent, encode_failures
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
-    "run",
     "build_spec",
     "render_effective_availability_table",
     "STRATEGIES",
@@ -182,12 +181,3 @@ def build_spec(
 
 
 register_scenario("replication", build_spec)
-
-
-def run(
-    workers: Optional[int] = 1,
-    cache=None,
-    **kwargs,
-) -> ExperimentResult:
-    """Convenience wrapper for ``run_scenario("replication", ...)``."""
-    return run_scenario("replication", make_runner(workers=workers, cache=cache), **kwargs)

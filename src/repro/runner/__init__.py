@@ -37,7 +37,6 @@ from repro.runner.backends import (
 from repro.runner.cache import ResultCache, default_cache_dir, point_key
 from repro.runner.config import RunnerConfig
 from repro.runner.distributed import DistributedRunner
-from repro.runner.queue import WorkQueue
 from repro.runner.registry import (
     available_scenarios,
     build_scenario,
@@ -74,7 +73,6 @@ __all__ = [
     "RunnerConfig",
     "ScenarioSpec",
     "Sweep",
-    "WorkQueue",
     "Worker",
     "WorkerStats",
     "available_scenarios",

@@ -3,7 +3,7 @@
 Three conforming implementations:
 
 * :class:`~repro.runner.backends.filesystem.FilesystemBackend` -- durable
-  queue in a (possibly shared) directory; the historical ``WorkQueue``.
+  queue in a (possibly shared) directory.
 * :class:`~repro.runner.backends.memory.MemoryBackend` -- lock-protected
   in-process queue, held by the ``repro-lb serve`` coordinator.
 * :class:`~repro.runner.backends.http.HttpBackend` -- client of a running

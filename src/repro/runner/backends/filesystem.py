@@ -190,7 +190,7 @@ class FilesystemBackend(QueueBackend):
             return None
         try:
             point = point_from_payload(data["point"])
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return None
         return TaskRecord(
             task_id=str(data.get("task_id", task_id)),

@@ -224,7 +224,7 @@ class HttpBackend(QueueBackend):
             return None
         try:
             point = point_from_payload(payload["point"])
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return None
         return TaskRecord(
             task_id=str(payload.get("task_id", task_id)),

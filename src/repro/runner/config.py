@@ -3,7 +3,7 @@
 The CLI grew its runner options one PR at a time --
 ``--workers/--no-cache/--cache-dir/--distributed/--queue-dir/
 --queue-timeout/--max-retries`` and now ``--url`` -- and each consumer
-(CLI subcommands, ``make_runner``, tests, figure wrappers) re-encoded the
+(CLI subcommands, tests, figure wrappers) re-encoded the
 same "which runner do these flags mean?" decision tree.  This dataclass
 is that decision tree, once: build a config (directly, or from parsed CLI
 args via :meth:`from_args`), then :meth:`make_runner` yields the serial /

@@ -16,20 +16,26 @@ identical to the legacy serial loops).  Sweeps with ``reseed_per_point=True``
 instead derive a deterministic per-point seed from the base seed and the
 point's *full* distinguishing coordinates (scenario, kind, system size,
 strategy/degree, rate, selectivity, OLTP placement, arrival process, config
-overrides and replicate index) via :func:`derive_seed`.  Deriving from the full coordinate
-tuple rather than the (series label, x) pair matters: two points can share a
-label and an x value while simulating different configurations (e.g. a rate
-or placement axis that the label does not interpolate), and every replicate
-must observe a different arrival stream.
+overrides and replicate index, then every set optional axis -- see
+:data:`SEED_GROUPS`) via :func:`derive_seed`.  Deriving from the full
+coordinate tuple rather than the (series label, x) pair matters: two points
+can share a label and an x value while simulating different configurations
+(e.g. a rate or placement axis that the label does not interpolate), and
+every replicate must observe a different arrival stream.
+
+The hardware, fault-plan and replication axes are rows of one table,
+:data:`OPTIONAL_AXES`; the cache key and the JSON decoder of a point are
+derived from the :class:`PointSpec` fields.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.config.parameters import REPLICATION_POLICIES, NodeClass, TopologyConfig
 from repro.faults.plan import (
@@ -54,10 +60,13 @@ __all__ = [
 #: attaches a windowed time series to the result.
 POINT_KINDS = ("multi", "single", "fixed-degree", "analytic", "timeline")
 
+#: Kinds that sweep fixed degrees of join parallelism instead of strategies.
+DEGREE_KINDS = ("fixed-degree", "analytic")
+
 #: Named configuration builders (see ``repro.runner.runner.build_config``).
 SCENARIO_BUILDERS = ("homogeneous", "memory-bound", "join-complexity", "mixed")
 
-#: Axes a sweep may use as its x values.
+#: Axes a sweep may use as its x values (keys of the series-label context).
 X_AXES = ("num_pe", "selectivity_pct", "rate", "degree")
 
 #: Sweep axes that :attr:`Sweep.perturb` may jitter per replicate.
@@ -155,6 +164,46 @@ def _topology_label(entry: Optional[TopologyEntry]) -> str:
     return f"{racks}r"
 
 
+def _policy_label(policy: Optional[str]) -> str:
+    return policy or "none"
+
+
+class Axis(NamedTuple):
+    """One optional sweep axis, declared once for every consumer.
+
+    ``canonical`` validates an entry of the :class:`Sweep` tuple
+    ``sweep_field`` and maps every encoding of the axis default to ``None``,
+    so explicitly-default entries produce the historical points (same seeds,
+    same cache keys, byte-identical outputs).  The canonical entry lands in
+    the :class:`PointSpec` field ``point_field``, and ``label`` renders it as
+    the ``{label_key}`` token of series templates.
+    """
+
+    sweep_field: str
+    point_field: str
+    canonical: Callable[[object], object]
+    label_key: str
+    label: Callable[[object], str]
+
+
+#: The optional axes, in expansion order (all nest inside the arrival axis
+#: and outside the strategy/degree axis).  Adding one takes a row here, a
+#: :class:`Sweep` tuple field and a :class:`PointSpec` field; the cache key
+#: and the JSON decoder pick the new field up on their own.
+OPTIONAL_AXES = (
+    Axis("node_classes", "node_classes", _canonical_node_classes, "nodes", _nodes_label),
+    Axis("topologies", "topology", _canonical_topology, "topology", _topology_label),
+    Axis("failures", "failures", _canonical_failures, "failures", _failures_label),
+    Axis("replication", "replication", _canonical_replication, "replication", _policy_label),
+)
+
+#: How the optional axes join a derived seed: after the core coordinates and
+#: the replicate index, each group in turn, and only when one of its fields
+#: is set.  Default points therefore keep the seeds they had before the axis
+#: existed.  The hardware axes landed together and join as one pair.
+SEED_GROUPS = (("node_classes", "topology"), ("failures",), ("replication",))
+
+
 def derive_seed(base_seed: int, *components: object) -> int:
     """Deterministic 31-bit seed derived from a base seed and coordinates.
 
@@ -238,7 +287,7 @@ class Sweep:
             raise ValueError(f"num_queries must be >= 1, got {self.num_queries}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.kind in ("fixed-degree", "analytic"):
+        if self.kind in DEGREE_KINDS:
             if not self.degrees:
                 raise ValueError(f"sweep kind {self.kind!r} requires degrees")
         elif not self.strategies:
@@ -249,17 +298,26 @@ class Sweep:
             raise ValueError("x_axis='rate' requires explicit rates")
         if self.x_axis == "selectivity_pct" and any(s is None for s in self.selectivities):
             raise ValueError("x_axis='selectivity_pct' requires explicit selectivities")
-        if self.x_axis == "degree" and not self.degrees:
-            raise ValueError("x_axis='degree' requires degrees")
+        if self.x_axis == "degree" and self.kind not in DEGREE_KINDS:
+            raise ValueError(
+                f"x_axis='degree' requires a {' or '.join(DEGREE_KINDS)} sweep, "
+                f"not kind {self.kind!r}"
+            )
+        for name in ("arrival_params", "perturb"):
+            # A repeated name would silently keep the last arrival parameter
+            # (and draw two jitter factors) while both pairs enter the key.
+            seen = set()
+            for key, _ in getattr(self, name):
+                if key in seen:
+                    raise ValueError(f"duplicate {name} name {key!r}")
+                seen.add(key)
         for kind in self.arrivals:
             if kind is not None and kind not in ARRIVAL_KINDS:
                 raise ValueError(
                     f"unknown arrival kind {kind!r}; expected one of {ARRIVAL_KINDS}"
                 )
-        if any(kind is not None for kind in self.arrivals) and self.kind not in (
-            "multi",
-            "timeline",
-        ):
+        uses_arrivals = any(kind is not None for kind in self.arrivals)
+        if uses_arrivals and self.kind not in ("multi", "timeline"):
             raise ValueError(
                 f"arrival processes only apply to multi/timeline sweeps, not {self.kind!r}"
             )
@@ -268,7 +326,7 @@ class Sweep:
             # trace; accepting it elsewhere would silently run plain Poisson
             # arrivals under a "[trace]" label.
             raise ValueError("arrival kind 'trace' requires a timeline sweep")
-        if self.arrival_params and all(kind is None for kind in self.arrivals):
+        if self.arrival_params and not uses_arrivals:
             raise ValueError(
                 "arrival_params given but no arrival process set; they would "
                 "be silently dropped (add an arrivals axis entry)"
@@ -280,18 +338,12 @@ class Sweep:
                 raise ValueError(
                     f"timeline_window must be positive, got {self.timeline_window}"
                 )
-        for entry in self.node_classes:
-            # Constructing the classes validates the encoding (unknown keys,
-            # bad fractions/factors) at declaration time, not in a worker.
-            _canonical_node_classes(entry)
-        for entry in self.topologies:
-            _canonical_topology(entry)
-        for entry in self.failures:
-            # Decoding constructs the FaultEvents, validating kinds/values at
-            # declaration time, not in a worker.
-            _canonical_failures(entry)
-        for entry in self.replication:
-            _canonical_replication(entry)
+        for axis in OPTIONAL_AXES:
+            # Canonicalising constructs the node classes, topologies and
+            # fault events, so a bad encoding fails at declaration time, not
+            # in a worker.
+            for entry in getattr(self, axis.sweep_field):
+                axis.canonical(entry)
         for axis, fraction in self.perturb:
             if axis not in PERTURBABLE_AXES:
                 raise ValueError(
@@ -412,72 +464,47 @@ class PointSpec:
     replication: Optional[str] = None
 
     def cache_payload(self) -> Tuple[Tuple[str, object], ...]:
-        """The (key, value) pairs that determine this point's result."""
-        return (
-            ("kind", self.kind),
-            ("scenario", self.scenario),
-            ("num_pe", self.num_pe),
-            ("seed", self.seed),
-            ("strategy", self.strategy),
-            ("degree", self.degree),
-            ("rate", self.rate),
-            ("selectivity", self.selectivity),
-            ("oltp_placement", self.oltp_placement),
-            ("num_queries", self.num_queries),
-            ("measured_joins", self.measured_joins),
-            ("warmup_joins", self.warmup_joins),
-            ("max_simulated_time", self.max_simulated_time),
-            ("config_overrides", self.config_overrides),
-            ("replicate", self.replicate),
-            ("arrival_kind", self.arrival_kind),
-            ("arrival_params", self.arrival_params),
-            ("timeline_window", self.timeline_window),
-            ("node_classes", self.node_classes),
-            ("topology", self.topology),
-            ("failures", self.failures),
-            ("replication", self.replication),
-        )
+        """The (key, value) pairs that determine this point's result: every
+        field but the presentation ones, in declaration order."""
+        return tuple((name, getattr(self, name)) for name in _OUTCOME_FIELDS)
+
+
+#: Presentation-only :class:`PointSpec` fields, left out of the cache key.
+PRESENTATION_FIELDS = ("figure", "series", "x")
+
+_OUTCOME_FIELDS = tuple(
+    spec_field.name
+    for spec_field in fields(PointSpec)
+    if spec_field.name not in PRESENTATION_FIELDS
+)
+
+
+def _tuples(value):
+    """JSON arrays back to (nested) tuples."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    return value
 
 
 def point_from_payload(payload) -> PointSpec:
     """Rebuild a :class:`PointSpec` from a JSON-decoded ``asdict`` payload.
 
-    JSON round-trips turn the tuple-valued fields (``config_overrides``,
-    ``arrival_params``, ``node_classes``, ``topology``, ``failures``) into
-    (nested) lists;
-    normalising them back keeps rebuilt points equal to the originals (and
-    hashable by the result cache with byte-identical keys).
+    JSON round-trips turn the tuple-valued fields into (nested) lists;
+    turning them back keeps rebuilt points equal to the originals (and
+    hashable by the result cache with byte-identical keys).  Payloads can
+    arrive from outside the program (``POST /sweeps``, queue files), so an
+    unknown kind or scenario and a non-integer size, seed or replicate index
+    raise :class:`ValueError` naming the field.
     """
-    data = dict(payload)
-    data["config_overrides"] = tuple(
-        (str(path), value) for path, value in (data.get("config_overrides") or ())
-    )
-    data["arrival_params"] = tuple(
-        (str(name), value) for name, value in (data.get("arrival_params") or ())
-    )
-    node_classes = data.get("node_classes")
-    data["node_classes"] = (
-        None
-        if node_classes is None
-        else tuple(
-            tuple((str(key), value) for key, value in node_class)
-            for node_class in node_classes
-        )
-    )
-    topology = data.get("topology")
-    data["topology"] = (
-        None
-        if topology is None
-        else tuple((str(key), value) for key, value in topology)
-    )
-    failures = data.get("failures")
-    data["failures"] = (
-        None
-        if failures is None
-        else tuple(
-            tuple((str(key), value) for key, value in event) for event in failures
-        )
-    )
+    data = {name: _tuples(value) for name, value in dict(payload).items()}
+    if data.get("kind") not in POINT_KINDS:
+        raise ValueError(f"unknown point kind {data.get('kind')!r}")
+    if data.get("scenario") not in SCENARIO_BUILDERS:
+        raise ValueError(f"unknown point scenario {data.get('scenario')!r}")
+    for name in ("num_pe", "seed", "replicate"):
+        value = data.get(name, 0)  # a missing field fails in PointSpec below
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"point field {name!r} must be an integer, got {value!r}")
     return PointSpec(**data)
 
 
@@ -524,10 +551,6 @@ def shard_timeline_point(
     return tuple(shards)
 
 
-def _series_label(sweep: Sweep, **context: object) -> str:
-    return sweep.series.format(**context)
-
-
 def _canonical_x(value: float) -> float:
     """Round an x value to 12 significant digits.
 
@@ -538,109 +561,14 @@ def _canonical_x(value: float) -> float:
     return float(f"{float(value):.12g}")
 
 
-def _x_value(sweep: Sweep, num_pe: int, selectivity, rate, degree) -> float:
-    if sweep.x_axis == "num_pe":
-        raw = float(num_pe)
-    elif sweep.x_axis == "selectivity_pct":
-        raw = float(selectivity) * 100.0
-    elif sweep.x_axis == "rate":
-        raw = float(rate)
-    else:
-        raw = float(degree)
-    return _canonical_x(raw)
-
-
-def _point_seed(
-    spec: ScenarioSpec,
-    sweep: Sweep,
-    *,
-    num_pe: int,
-    strategy: Optional[str],
-    degree: Optional[int],
-    rate: Optional[float],
-    selectivity: Optional[float],
-    placement: Optional[str],
-    arrival: Optional[str],
-    replicate: int,
-    node_classes: Optional[NodeClassesEntry] = None,
-    topology: Optional[TopologyEntry] = None,
-    failures: Optional[FailuresEntry] = None,
-    replication: Optional[str] = None,
-) -> int:
-    """Seed for one point: base seed, or a collision-free derived seed.
-
-    Replicate 0 of a sweep without ``reseed_per_point`` keeps the spec's base
-    seed -- replicated runs therefore contain the legacy fixed-seed run as
-    their first replicate (and share its cache entry).  Every other point
-    derives from the full distinguishing coordinate tuple, never from the
-    (series label, x) pair, which can be shared by distinct configurations.
-
-    The hardware and fault axes join the component tuple only when
-    non-default: appending them unconditionally would change every existing
-    derived seed (and with it the committed golden figures).
-    """
-    if replicate == 0 and not sweep.reseed_per_point:
-        return spec.seed
-    components = [
-        sweep.kind,
-        sweep.scenario,
-        num_pe,
-        strategy,
-        degree,
-        rate,
-        selectivity,
-        placement,
-        arrival,
-        sweep.config_overrides,
-        replicate,
-    ]
-    if node_classes is not None or topology is not None:
-        components.extend([node_classes, topology])
-    if failures is not None:
-        components.append(failures)
-    if replication is not None:
-        components.append(replication)
-    return derive_seed(spec.seed, *components)
-
-
-def _perturbed_axes(
-    spec: ScenarioSpec,
-    sweep: Sweep,
-    *,
-    rate: Optional[float],
-    selectivity: Optional[float],
-    replicate: int,
-    coordinates: Tuple[object, ...],
-) -> Tuple[Optional[float], Optional[float]]:
-    """Jittered (rate, selectivity) for one replicate of one point.
-
-    Replicate 0 keeps the nominal axes (so a perturbed sweep still embeds the
-    unperturbed run); replicates >= 1 multiply each perturbed axis by a
-    factor drawn uniformly from ``[1 - fraction, 1 + fraction]`` using a rng
-    seeded from the point's full coordinates -- deterministic across
-    processes and distinct per replicate.
-    """
-    if replicate == 0 or not sweep.perturb:
-        return rate, selectivity
-    rng = random.Random(derive_seed(spec.seed, "perturb", *coordinates, replicate))
-    # Fixed draw order (sorted axis names) keeps the jitter independent of
-    # the declaration order of ``perturb``.
-    for axis, fraction in sorted(sweep.perturb):
-        factor = rng.uniform(1.0 - float(fraction), 1.0 + float(fraction))
-        if axis == "arrival_rate":
-            rate = float(rate) * factor  # type: ignore[arg-type]
-        else:
-            selectivity = float(selectivity) * factor  # type: ignore[arg-type]
-    return rate, selectivity
-
-
 def expand(spec: ScenarioSpec) -> Tuple[PointSpec, ...]:
     """Expand a scenario into its flat, ordered tuple of points.
 
     Axis nesting (outer to inner): system size, selectivity, rate, OLTP
-    placement, arrival process, then strategy/degree -- matching the
-    iteration order of the legacy hand-written figure loops, so series
-    appear in the same order in the rendered tables.
+    placement, arrival process, the :data:`OPTIONAL_AXES`, strategy/degree,
+    then replicate -- matching the iteration order of the legacy
+    hand-written figure loops, so series appear in the same order in the
+    rendered tables.
 
     Run limits left as ``None`` on the spec are resolved *here* (against the
     ``REPRO_BENCH_JOINS``/``REPRO_BENCH_TIME_LIMIT`` environment defaults),
@@ -652,7 +580,8 @@ def expand(spec: ScenarioSpec) -> Tuple[PointSpec, ...]:
     Per-replicate perturbation (``Sweep.perturb``) jitters the rate /
     selectivity stored on the point while the series label and x keep the
     nominal values, so all replicates of a coordinate still group into one
-    table cell.
+    table cell.  Replicate 0 stays unperturbed, and the jitter draws from an
+    rng seeded by the point's full coordinates.
     """
     from repro.experiments.base import default_measured_joins, default_time_limit
 
@@ -670,180 +599,120 @@ def expand(spec: ScenarioSpec) -> Tuple[PointSpec, ...]:
         )
     points: List[PointSpec] = []
     for sweep in spec.sweeps:
-        inner: Sequence[object] = (
-            sweep.degrees if sweep.kind in ("fixed-degree", "analytic") else sweep.strategies
+        by_degree = sweep.kind in DEGREE_KINDS
+        num_queries = sweep.num_queries or DEFAULT_NUM_QUERIES.get(sweep.kind)
+        window = sweep.timeline_window or DEFAULT_TIMELINE_WINDOW
+        # Fields every point of the sweep shares; which run limits apply
+        # depends on the kind.
+        shared = dict(
+            figure=spec.name,
+            kind=sweep.kind,
+            scenario=sweep.scenario,
+            num_queries=num_queries if sweep.kind in DEFAULT_NUM_QUERIES else None,
+            measured_joins=measured if sweep.kind == "multi" else None,
+            warmup_joins=warmup if sweep.kind == "multi" else None,
+            max_simulated_time=limit if sweep.kind in ("multi", "timeline") else None,
+            config_overrides=sweep.config_overrides,
+            timeline_window=window if sweep.kind == "timeline" else None,
         )
-        window = (
-            (
-                sweep.timeline_window
-                if sweep.timeline_window is not None
-                else DEFAULT_TIMELINE_WINDOW
+        # Per combination of the optional axes: its PointSpec fields, seed
+        # components and label tokens.  Canonicalising collapses encodings
+        # of an axis default to None, so they yield the default's points.
+        combinations = []
+        for entries in itertools.product(
+            *(
+                [axis.canonical(entry) for entry in getattr(sweep, axis.sweep_field)]
+                for axis in OPTIONAL_AXES
             )
-            if sweep.kind == "timeline"
-            else None
-        )
-        # Canonicalise the hardware axes once per sweep: encodings of uniform
-        # hardware / flat topologies collapse to None here, so they produce
-        # the very same points (seeds, cache keys, bytes) as the axis default.
-        # They join the arrival axis in one flat product to keep the historic
-        # loop nesting (and with it the point order of existing scenarios).
-        workload_axes = [
-            (
+        ):
+            optional = {axis.point_field: e for axis, e in zip(OPTIONAL_AXES, entries)}
+            set_groups = tuple(
+                optional[name]
+                for group in SEED_GROUPS
+                if any(optional[grouped] is not None for grouped in group)
+                for name in group
+            )
+            labels = {axis.label_key: axis.label(e) for axis, e in zip(OPTIONAL_AXES, entries)}
+            combinations.append((optional, set_groups, labels))
+        # Analytic points are deterministic model evaluations: replicating
+        # them would just repeat the identical number.
+        replicates = 1 if sweep.kind == "analytic" else sweep.replicates
+        for num_pe, selectivity, rate, placement, arrival, combination, member, replicate in (
+            itertools.product(
+                sweep.system_sizes,
+                sweep.selectivities,
+                sweep.rates,
+                sweep.oltp_placements,
+                sweep.arrivals,
+                combinations,
+                sweep.degrees if by_degree else sweep.strategies,
+                range(replicates),
+            )
+        ):
+            if by_degree:
+                strategy, degree = None, int(member)
+                if degree > num_pe:
+                    continue
+            else:
+                strategy, degree = str(member), None
+            optional, set_groups, labels = combination
+            coordinates = (
+                sweep.kind,
+                sweep.scenario,
+                num_pe,
+                strategy,
+                degree,
+                rate,
+                selectivity,
+                placement,
                 arrival,
-                _canonical_node_classes(raw_classes),
-                _canonical_topology(raw_topology),
-                _canonical_failures(raw_failures),
-                _canonical_replication(raw_replication),
+                sweep.config_overrides,
             )
-            for arrival in sweep.arrivals
-            for raw_classes in sweep.node_classes
-            for raw_topology in sweep.topologies
-            for raw_failures in sweep.failures
-            for raw_replication in sweep.replication
-        ]
-        for num_pe in sweep.system_sizes:
-            for selectivity in sweep.selectivities:
-                for rate in sweep.rates:
-                    for placement in sweep.oltp_placements:
-                        for (
-                            arrival,
-                            node_classes_entry,
-                            topology_entry,
-                            failures_entry,
-                            replication_entry,
-                        ) in workload_axes:
-                            for member in inner:
-                                strategy = None
-                                degree = None
-                                if sweep.kind in ("fixed-degree", "analytic"):
-                                    degree = int(member)  # type: ignore[arg-type]
-                                    if degree > num_pe:
-                                        continue
-                                else:
-                                    strategy = str(member)
-                                x = _x_value(sweep, num_pe, selectivity, rate, degree)
-                                label = _series_label(
-                                    sweep,
-                                    strategy=strategy,
-                                    degree=degree,
-                                    num_pe=num_pe,
-                                    rate=rate,
-                                    selectivity=selectivity,
-                                    selectivity_pct=(
-                                        selectivity * 100.0
-                                        if selectivity is not None
-                                        else None
-                                    ),
-                                    placement=placement,
-                                    arrival=arrival,
-                                    nodes=_nodes_label(node_classes_entry),
-                                    topology=_topology_label(topology_entry),
-                                    failures=_failures_label(failures_entry),
-                                    replication=replication_entry or "none",
-                                )
-                                if sweep.num_queries is not None:
-                                    num_queries = sweep.num_queries
-                                else:
-                                    num_queries = DEFAULT_NUM_QUERIES.get(sweep.kind, 5)
-                                # Analytic points are deterministic model
-                                # evaluations: replicating them would just
-                                # repeat the identical number.
-                                replicates = (
-                                    1 if sweep.kind == "analytic" else sweep.replicates
-                                )
-                                for replicate in range(replicates):
-                                    coordinates = (
-                                        sweep.kind,
-                                        sweep.scenario,
-                                        num_pe,
-                                        strategy,
-                                        degree,
-                                        rate,
-                                        selectivity,
-                                        placement,
-                                        arrival,
-                                        sweep.config_overrides,
-                                    )
-                                    if (
-                                        node_classes_entry is not None
-                                        or topology_entry is not None
-                                    ):
-                                        coordinates += (
-                                            node_classes_entry,
-                                            topology_entry,
-                                        )
-                                    if failures_entry is not None:
-                                        coordinates += (failures_entry,)
-                                    if replication_entry is not None:
-                                        coordinates += (replication_entry,)
-                                    seed = _point_seed(
-                                        spec,
-                                        sweep,
-                                        num_pe=num_pe,
-                                        strategy=strategy,
-                                        degree=degree,
-                                        rate=rate,
-                                        selectivity=selectivity,
-                                        placement=placement,
-                                        arrival=arrival,
-                                        replicate=replicate,
-                                        node_classes=node_classes_entry,
-                                        topology=topology_entry,
-                                        failures=failures_entry,
-                                        replication=replication_entry,
-                                    )
-                                    point_rate, point_selectivity = _perturbed_axes(
-                                        spec,
-                                        sweep,
-                                        rate=rate,
-                                        selectivity=selectivity,
-                                        replicate=replicate,
-                                        coordinates=coordinates,
-                                    )
-                                    points.append(
-                                        PointSpec(
-                                            figure=spec.name,
-                                            series=label,
-                                            x=x,
-                                            kind=sweep.kind,
-                                            scenario=sweep.scenario,
-                                            num_pe=num_pe,
-                                            seed=seed,
-                                            strategy=strategy,
-                                            degree=degree,
-                                            rate=point_rate,
-                                            selectivity=point_selectivity,
-                                            oltp_placement=placement,
-                                            num_queries=(
-                                                None
-                                                if sweep.kind
-                                                in ("multi", "analytic", "timeline")
-                                                else num_queries
-                                            ),
-                                            measured_joins=(
-                                                measured if sweep.kind == "multi" else None
-                                            ),
-                                            warmup_joins=(
-                                                warmup if sweep.kind == "multi" else None
-                                            ),
-                                            max_simulated_time=(
-                                                limit
-                                                if sweep.kind in ("multi", "timeline")
-                                                else None
-                                            ),
-                                            config_overrides=sweep.config_overrides,
-                                            replicate=replicate,
-                                            arrival_kind=arrival,
-                                            arrival_params=(
-                                                sweep.arrival_params
-                                                if arrival is not None
-                                                else ()
-                                            ),
-                                            timeline_window=window,
-                                            node_classes=node_classes_entry,
-                                            topology=topology_entry,
-                                            failures=failures_entry,
-                                            replication=replication_entry,
-                                        )
-                                    )
+            # Replicate 0 of a sweep without reseed_per_point keeps the base
+            # seed, so a replicated run contains the legacy fixed-seed run.
+            if replicate == 0 and not sweep.reseed_per_point:
+                seed = spec.seed
+            else:
+                seed = derive_seed(spec.seed, *coordinates, replicate, *set_groups)
+            point_rate, point_selectivity = rate, selectivity
+            if replicate and sweep.perturb:
+                rng = random.Random(
+                    derive_seed(spec.seed, "perturb", *coordinates, *set_groups, replicate)
+                )
+                # Sorted draw order keeps the jitter independent of the
+                # declaration order of ``perturb``.
+                for axis_name, fraction in sorted(sweep.perturb):
+                    factor = rng.uniform(1.0 - float(fraction), 1.0 + float(fraction))
+                    if axis_name == "arrival_rate":
+                        point_rate = float(rate) * factor  # type: ignore[arg-type]
+                    else:
+                        point_selectivity = float(selectivity) * factor  # type: ignore[arg-type]
+            context = dict(
+                strategy=strategy,
+                degree=degree,
+                num_pe=num_pe,
+                rate=rate,
+                selectivity=selectivity,
+                selectivity_pct=None if selectivity is None else selectivity * 100.0,
+                placement=placement,
+                arrival=arrival,
+            )
+            points.append(
+                PointSpec(
+                    series=sweep.series.format(**context, **labels),
+                    x=_canonical_x(context[sweep.x_axis]),
+                    num_pe=num_pe,
+                    seed=seed,
+                    strategy=strategy,
+                    degree=degree,
+                    rate=point_rate,
+                    selectivity=point_selectivity,
+                    oltp_placement=placement,
+                    replicate=replicate,
+                    arrival_kind=arrival,
+                    arrival_params=sweep.arrival_params if arrival is not None else (),
+                    **shared,
+                    **optional,
+                )
+            )
     return tuple(points)

@@ -70,15 +70,14 @@ def test_dynamic_timeline_identical_with_coalescing_off(monkeypatch):
 
 def _run_figure9_mixed_point():
     """One small Fig. 9b-style point: OLTP on the B nodes preempting joins."""
-    from repro.experiments import figure9
+    from repro.experiments.base import run_scenario
 
-    experiment = figure9.run(
-        oltp_placement="B",
+    experiment = run_scenario(
+        "figure9b",
         system_sizes=(10,),
         strategies=("OPT-IO-CPU",),
         measured_joins=6,
         max_simulated_time=20.0,
-        workers=1,
     )
     return experiment.value("OPT-IO-CPU", 10).result.to_dict()
 
@@ -95,15 +94,14 @@ def test_figure9_mixed_point_identical_with_coalescing_off(monkeypatch):
 
 _HASH_SEED_SCRIPT = """\
 import json
-from repro.experiments import figure9
+from repro.experiments.base import run_scenario
 
-experiment = figure9.run(
-    oltp_placement="B",
+experiment = run_scenario(
+    "figure9b",
     system_sizes=(10,),
     strategies=("OPT-IO-CPU",),
     measured_joins=6,
     max_simulated_time=20.0,
-    workers=1,
 )
 print(json.dumps(experiment.value("OPT-IO-CPU", 10).result.to_dict(), sort_keys=True))
 """

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.experiments import (
-    ExperimentPoint,
-    ExperimentResult,
-    figure1,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    render_parameter_table,
+from repro.experiments import ExperimentPoint, ExperimentResult, render_parameter_table
+from repro.experiments.base import (
+    default_measured_joins,
+    default_time_limit,
+    run_point,
+    run_scenario,
 )
-from repro.experiments.base import default_measured_joins, default_time_limit, run_point
 from repro.experiments.figure7 import degree_table
 from repro.experiments.figure8 import improvement_table
 from repro.experiments.scenarios import (
@@ -104,7 +99,7 @@ def test_environment_overrides_for_run_length(monkeypatch):
 
 # -- tiny end-to-end figure runs ---------------------------------------------------------
 def test_figure1_analytic_curve_without_simulation():
-    experiment = figure1.run(num_pe=40, degrees=(1, 8, 30), simulate=False)
+    experiment = run_scenario("figure1", num_pe=40, degrees=(1, 8, 30), simulate=False)
     analytic = experiment.series("analytic model")
     assert [point.x for point in analytic] == [1, 8, 30]
     times = {p.x: p.result.join_response_time for p in analytic}
@@ -112,7 +107,8 @@ def test_figure1_analytic_curve_without_simulation():
 
 
 def test_figure5_tiny_run_has_all_series():
-    experiment = figure5.run(
+    experiment = run_scenario(
+        "figure5",
         system_sizes=(10,),
         strategies=("psu_noIO+LUM", "psu_opt+RANDOM"),
         measured_joins=5,
@@ -128,7 +124,8 @@ def test_figure5_tiny_run_has_all_series():
 
 
 def test_figure6_tiny_run():
-    experiment = figure6.run(
+    experiment = run_scenario(
+        "figure6",
         system_sizes=(10,),
         strategies=("OPT-IO-CPU",),
         measured_joins=5,
@@ -140,7 +137,8 @@ def test_figure6_tiny_run():
 
 
 def test_figure7_tiny_run_and_degree_table():
-    experiment = figure7.run(
+    experiment = run_scenario(
+        "figure7",
         system_sizes=(20,),
         arrival_rates=(0.05,),
         strategies=("MIN-IO-SUOPT",),
@@ -154,7 +152,8 @@ def test_figure7_tiny_run_and_degree_table():
 
 
 def test_figure8_improvement_table_contains_baseline():
-    experiment = figure8.run(
+    experiment = run_scenario(
+        "figure8",
         selectivities=(0.001,),
         strategies=("pmu_cpu+LUM",),
         num_pe=20,
@@ -167,8 +166,8 @@ def test_figure8_improvement_table_contains_baseline():
 
 
 def test_figure9_tiny_run_runs_oltp():
-    experiment = figure9.run(
-        oltp_placement="A",
+    experiment = run_scenario(
+        "figure9a",
         system_sizes=(10,),
         strategies=("OPT-IO-CPU",),
         measured_joins=4,

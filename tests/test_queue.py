@@ -11,16 +11,16 @@ import pytest
 
 from repro.runner import (
     DistributedRunner,
+    FilesystemBackend,
     ParallelRunner,
     PointExecutionError,
     PointSpec,
     ScenarioSpec,
     Sweep,
     Worker,
-    WorkQueue,
     point_from_payload,
 )
-from repro.runner.queue import DEFAULT_MAX_ATTEMPTS
+from repro.runner.backends.base import DEFAULT_MAX_ATTEMPTS
 
 
 def tiny_spec(strategies=("OPT-IO-CPU",), **kwargs) -> ScenarioSpec:
@@ -58,7 +58,7 @@ def test_point_payload_roundtrips_through_json():
 
 
 def test_task_id_is_the_cache_key_and_ignores_presentation(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     assert queue.task_id(point) == queue.results.key(point)
     relabelled = dataclasses.replace(point, figure="g", series="other", x=99)
@@ -68,9 +68,21 @@ def test_task_id_is_the_cache_key_and_ignores_presentation(tmp_path):
     assert queue.task_id(rebuilt) == queue.task_id(point)
 
 
+def test_task_file_with_an_invalid_point_is_not_loadable(tmp_path):
+    queue = FilesystemBackend(tmp_path)
+    point = make_point()
+    queue.enqueue([point])
+    task_id = queue.task_id(point)
+    path = queue._task_path(task_id)
+    data = json.loads(path.read_text())
+    data["point"]["kind"] = "nope"
+    path.write_text(json.dumps(data))
+    assert queue.load_task(task_id) is None
+
+
 # -- enqueue / resume -------------------------------------------------------------
 def test_enqueue_dedupes_and_is_idempotent(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     points = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM")).points()
     first = queue.enqueue(list(points) + [points[0]])  # duplicate point
     assert first.enqueued == 2
@@ -83,7 +95,7 @@ def test_enqueue_dedupes_and_is_idempotent(tmp_path):
 
 
 def test_enqueue_marks_preseeded_results_done(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = tiny_spec().points()[0]
     result = ParallelRunner(workers=1).run_points([point])[0]
     # Result stored (e.g. by a worker that died before marking): enqueue
@@ -96,7 +108,7 @@ def test_enqueue_marks_preseeded_results_done(tmp_path):
 
 # -- leases -----------------------------------------------------------------------
 def test_claim_is_exclusive(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
@@ -107,7 +119,7 @@ def test_claim_is_exclusive(tmp_path):
 
 
 def test_stale_lease_of_dead_local_process_is_reclaimed(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
@@ -125,7 +137,7 @@ def test_stale_lease_of_dead_local_process_is_reclaimed(tmp_path):
 
 
 def test_expired_heartbeat_is_reclaimed_live_one_is_not(tmp_path):
-    queue = WorkQueue(tmp_path, lease_seconds=30.0)
+    queue = FilesystemBackend(tmp_path, lease_seconds=30.0)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
@@ -143,7 +155,7 @@ def test_expired_heartbeat_is_reclaimed_live_one_is_not(tmp_path):
 
 
 def test_heartbeat_refreshes_only_own_lease(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
@@ -160,7 +172,7 @@ def test_heartbeat_refreshes_only_own_lease(tmp_path):
 def test_worker_drains_queue_and_results_match_local_run(tmp_path):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
     local = ParallelRunner(workers=1).run_points(spec.points())
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     stats = Worker(queue, worker_id="w1", poll_interval=0.05).run()
     assert stats.executed == 2 and stats.failed == 0
@@ -171,7 +183,7 @@ def test_worker_drains_queue_and_results_match_local_run(tmp_path):
 
 def test_worker_respects_max_tasks_and_resumes(tmp_path):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     first = Worker(queue, worker_id="w1", poll_interval=0.05).run(max_tasks=1)
     assert first.claimed == 1
@@ -188,7 +200,7 @@ def test_worker_respects_max_tasks_and_resumes(tmp_path):
 def test_two_workers_split_the_queue_without_duplication(tmp_path):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM", "psu_noIO+RANDOM",
                                  "psu_opt+LUM"))
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     stats = [None, None]
 
@@ -207,7 +219,7 @@ def test_two_workers_split_the_queue_without_duplication(tmp_path):
 
 
 def test_failing_point_consumes_retry_budget(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     bad = make_point(strategy="NO-SUCH-STRATEGY")
     queue.enqueue([bad], max_attempts=2)
     stats = Worker(queue, worker_id="w1", poll_interval=0.02).run()
@@ -222,7 +234,7 @@ def test_failing_point_consumes_retry_budget(tmp_path):
 
 
 def test_interrupted_worker_releases_lease_without_burning_a_retry(tmp_path, monkeypatch):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     worker = Worker(queue, worker_id="w1", poll_interval=0.02)
@@ -316,7 +328,7 @@ def test_distributed_runner_resumes_from_partial_queue(tmp_path):
 
 
 def test_default_max_attempts_applied_to_enqueued_tasks(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     record = queue.load_task(queue.task_id(point))
@@ -327,7 +339,7 @@ def test_default_max_attempts_applied_to_enqueued_tasks(tmp_path):
 
 # -- robustness fixes --------------------------------------------------------------
 def test_unreadable_task_record_is_terminal_not_pending(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     good = make_point()
     queue.enqueue([good])
     corrupt_path = queue.tasks_dir / ("f" * 64 + ".json")
@@ -343,7 +355,7 @@ def test_unreadable_task_record_is_terminal_not_pending(tmp_path):
 
 
 def test_stale_claimant_cannot_stomp_reclaimed_lease(tmp_path):
-    queue = WorkQueue(tmp_path)
+    queue = FilesystemBackend(tmp_path)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)

@@ -89,6 +89,42 @@ def test_sweep_validation_rejects_x_axis_without_axis_values():
         Sweep(kind="multi", strategies=("X",), system_sizes=(10,), x_axis="degree")
 
 
+def test_sweep_rejects_degree_x_axis_on_strategy_kinds():
+    # Degrees on a strategy sweep never reach the points; the x value would
+    # be float(None) at expansion.
+    with pytest.raises(ValueError, match="not kind 'multi'"):
+        Sweep(kind="multi", strategies=("X",), system_sizes=(10,), degrees=(2,),
+              x_axis="degree")
+
+
+def test_sweep_rejects_duplicate_perturb_names():
+    with pytest.raises(ValueError, match="duplicate perturb name 'arrival_rate'"):
+        Sweep(kind="multi", strategies=("X",), system_sizes=(10,), rates=(0.2,),
+              perturb=(("arrival_rate", 0.1), ("arrival_rate", 0.2)))
+
+
+def test_sweep_rejects_duplicate_arrival_params():
+    with pytest.raises(ValueError, match="duplicate arrival_params name 'surge_factor'"):
+        Sweep(kind="timeline", strategies=("X",), system_sizes=(10,), arrivals=("step",),
+              arrival_params=(("surge_factor", 3.0), ("surge_factor", 5.0)))
+
+
+def test_axis_table_is_consistent():
+    from repro.runner.spec import OPTIONAL_AXES, SEED_GROUPS
+
+    # Every optional axis joins derived seeds exactly once, in table order.
+    assert [name for group in SEED_GROUPS for name in group] == [
+        axis.point_field for axis in OPTIONAL_AXES
+    ]
+    sweep_fields = {spec_field.name for spec_field in dataclasses.fields(Sweep)}
+    point_fields = {spec_field.name for spec_field in dataclasses.fields(PointSpec)}
+    for axis in OPTIONAL_AXES:
+        assert axis.sweep_field in sweep_fields
+        assert axis.point_field in point_fields
+        assert axis.canonical(None) is None
+        assert getattr(Sweep, axis.sweep_field) == (None,)
+
+
 def test_expansion_resolves_env_run_limits_into_points(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_JOINS", "17")
     monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", "33.5")

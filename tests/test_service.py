@@ -137,6 +137,26 @@ def test_submit_sweep_rejects_garbage_over_http(coordinator):
     assert excinfo.value.code == 400
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("kind", "nope"), ("scenario", "nope"), ("num_pe", "4"), ("seed", 4.5),
+     ("replicate", True)],
+)
+def test_submit_sweep_rejects_invalid_points_over_http(coordinator, field, value):
+    payload = dict(point_payload(timeline_point()), **{field: value})
+    request = urllib.request.Request(
+        coordinator.url + "/sweeps",
+        data=json.dumps({"points": [payload]}).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    assert excinfo.value.code == 400
+    assert field in json.loads(excinfo.value.read())["error"]
+    assert coordinator.backend.task_ids() == []
+
+
 # -- sharded drain: stitching + streaming metrics ---------------------------------
 def test_sharded_sweep_streams_windows_and_stitches_identically(coordinator):
     point = timeline_point()

@@ -522,8 +522,6 @@ class SystemConfig:
     @property
     def mean_mips_factor(self) -> float:
         """System-wide mean relative CPU speed (1.0 for uniform systems)."""
-        if not self.heterogeneous:
-            return 1.0
         total = float(self.num_pe)
         for start, end, node_class in self._class_blocks:
             total += (end - start) * (node_class.mips_factor - 1.0)

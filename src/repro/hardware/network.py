@@ -31,12 +31,10 @@ Endpoint = Union[int, Iterable[int]]
 class Network:
     """Packet-based interconnect with CPU-cost accounting helpers.
 
-    With a non-flat :class:`TopologyConfig` the wire time of each message
-    depends on the (src, dst) tier: crossing racks or regions multiplies the
+    The wire time of each message depends on the (src, dst) tier of the
+    :class:`TopologyConfig`: crossing racks or regions multiplies the
     per-packet latency and divides the bandwidth by the tier's factors.
-    Callers that do not know their endpoints (or a flat topology) fall back
-    to the uniform Fig. 4 wire, which keeps the historical float expressions
-    bit-identical.
+    Messages with unknown endpoints travel at tier 0, the Fig. 4 wire.
     """
 
     def __init__(
@@ -59,9 +57,7 @@ class Network:
             Resource(env, capacity=link_capacity, name="network") if model_contention else None
         )
         self._coalesce = coalescing_enabled()
-        self._topology: Optional[TopologyConfig] = (
-            topology if topology is not None and not topology.is_flat else None
-        )
+        self._topology = topology if topology is not None else TopologyConfig()
         self._num_pe = num_pe
 
     # -- size helpers -------------------------------------------------------
@@ -94,9 +90,12 @@ class Network:
         )
 
     # -- wire time ------------------------------------------------------------
-    def _tier(self, src: int, dst: Endpoint) -> int:
-        """Communication tier for src -> dst (max tier over multi-dst sends)."""
+    def _tier(self, src: Optional[int], dst: Optional[Endpoint]) -> int:
+        """Communication tier for src -> dst (max tier over multi-dst sends);
+        0 for unknown endpoints and, without a walk, on a single rack."""
         topology = self._topology
+        if topology.racks <= 1 or src is None or dst is None:
+            return 0
         if isinstance(dst, int):
             return topology.tier_between(src, dst, self._num_pe)
         return max(
@@ -107,17 +106,10 @@ class Network:
     def transfer_time(
         self, nbytes: int, src: Optional[int] = None, dst: Optional[Endpoint] = None
     ) -> float:
-        """Wire latency + transfer time for one message.
-
-        Unknown endpoints (``None``) or a flat topology charge the uniform
-        wire; otherwise the (src, dst) tier scales latency and bandwidth.
-        """
+        """Wire latency + transfer time for one message; the (src, dst) tier
+        scales latency and bandwidth."""
         topology = self._topology
-        if topology is None or src is None or dst is None:
-            return self.config.transfer_time(nbytes)
         tier = self._tier(src, dst)
-        if tier == 0:
-            return self.config.transfer_time(nbytes)
         packets = self.config.packets_for(nbytes)
         latency = self.config.wire_latency * topology.latency_factor(tier)
         bandwidth = self.config.bandwidth_bytes_per_s / topology.bandwidth_factor(tier)

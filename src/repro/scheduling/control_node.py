@@ -59,24 +59,12 @@ class ControlNode:
                 cpu_utilization=0.0,
                 free_memory_pages=pe.buffer.free_pages,
                 disk_utilization=0.0,
-                cpu_capacity=getattr(pe, "cpu_factor", 1.0),
+                cpu_capacity=pe.cpu_factor,
             )
             for pe in self.pes
         }
-        # Uniform systems keep the historical utilisation-based orderings and
-        # plain averages so their float expressions stay bit-identical.
-        self._heterogeneous = any(
-            status.cpu_capacity != 1.0 for status in self._status.values()
-        )
-        # Fault awareness is off (historical code paths, bit-identical) until
-        # an injector attaches itself.
-        self._faults = None
         self.reports = 0
         self._running = False
-
-    def attach_faults(self, faults) -> None:
-        """Enable failure-aware rankings, driven by the fault injector."""
-        self._faults = faults
 
     # -- reporting -----------------------------------------------------------
     def start(self) -> None:
@@ -105,29 +93,15 @@ class ControlNode:
     def status_of(self, pe_id: int) -> NodeStatus:
         return self._status[pe_id]
 
-    def _ranked_statuses(self):
-        """Statuses the strategies may consider: all of them historically,
-        only the available ones once a fault injector is attached."""
-        if self._faults is None:
-            return self._status.values()
+    def _ranked_statuses(self) -> List[NodeStatus]:
+        """Statuses the strategies may consider: the available PEs."""
         return [status for status in self._status.values() if status.available]
 
     def average_cpu_utilization(self) -> float:
-        """Current average CPU utilisation over all (available) processors
-        (for 3.2)."""
-        statuses = self._ranked_statuses()
-        if not statuses:
-            return 0.0
-        return sum(status.cpu_utilization for status in statuses) / len(statuses)
-
-    def average_effective_cpu_utilization(self) -> float:
-        """Capacity-weighted CPU utilisation: the fraction of the system's
-        aggregate MIPS currently busy.  Equals :meth:`average_cpu_utilization`
-        on uniform, fault-free hardware (and takes that exact code path
-        there); with faults active, degraded stragglers contribute their
-        reduced capacity."""
-        if not self._heterogeneous and self._faults is None:
-            return self.average_cpu_utilization()
+        """Capacity-weighted CPU utilisation of the available processors
+        (for 3.2): the fraction of their aggregate MIPS currently busy, with
+        degraded stragglers contributing their reduced capacity.  When every
+        weight is 1.0 this is the plain mean utilisation."""
         busy = 0.0
         capacity = 0.0
         for status in self._ranked_statuses():
@@ -136,20 +110,9 @@ class ControlNode:
             capacity += effective
         return busy / capacity if capacity else 0.0
 
-    def average_disk_utilization(self) -> float:
-        statuses = self._ranked_statuses()
-        if not statuses:
-            return 0.0
-        return sum(status.disk_utilization for status in statuses) / len(statuses)
-
-    def average_memory_utilization(self) -> float:
-        total = 0.0
-        for pe in self.pes:
-            total += pe.buffer.utilization()
-        return total / len(self.pes) if self.pes else 0.0
-
     def avail_memory(self) -> List[NodeStatus]:
-        """The AVAIL-MEMORY array: all nodes sorted by free memory, descending.
+        """The AVAIL-MEMORY array: available nodes sorted by free memory,
+        descending.
 
         ``avail_memory()[0]`` is the processor with the most free memory, as
         in the paper's data structure AVAIL-MEMORY[1..n].
@@ -160,25 +123,19 @@ class ControlNode:
         )
 
     def nodes_by_cpu(self) -> List[NodeStatus]:
-        """All usable nodes sorted for LUC: least CPU load first, PE index
-        breaking ties.  On heterogeneous hardware "least loaded" means the
-        most *absolute* idle MIPS -- a fast node at 50 % has more headroom
-        than a slow node at 40 % -- so the ranking normalises by capacity;
-        with faults active, dead PEs are excluded and stragglers are
-        down-weighted by their current speed factor."""
-        if self._heterogeneous or self._faults is not None:
-            return sorted(
-                self._ranked_statuses(),
-                key=lambda status: (
-                    -(1.0 - status.cpu_utilization)
-                    * status.cpu_capacity
-                    * status.speed_factor,
-                    status.pe_id,
-                ),
-            )
+        """Available nodes sorted for LUC: most absolute idle MIPS first, PE
+        index breaking ties.  A fast node at 50 % has more headroom than a
+        slow node at 40 %, and a degraded straggler is down-weighted by its
+        current speed factor.  Headrooms equal in floating point tie even if
+        the raw utilisations differ."""
         return sorted(
-            self._status.values(),
-            key=lambda status: (status.cpu_utilization, status.pe_id),
+            self._ranked_statuses(),
+            key=lambda status: (
+                -(1.0 - status.cpu_utilization)
+                * status.cpu_capacity
+                * status.speed_factor,
+                status.pe_id,
+            ),
         )
 
     # -- adaptive corrections -------------------------------------------------------

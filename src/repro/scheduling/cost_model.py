@@ -62,25 +62,13 @@ class CostModel:
         # evaluation per class.
         self._psu_opt_cache: dict = {}
         self._psu_no_io_cache: dict = {}
-        # Heterogeneous systems cost CPU work against the mean effective MIPS
-        # and memory against the capacity vector; uniform systems keep the
-        # exact historical scalar expressions (self._effective_mips *is*
-        # config.cpu.mips there, so every float matches bit for bit).
-        self._heterogeneous = config.heterogeneous
-        self._effective_mips = (
-            config.cpu.mips * config.mean_mips_factor
-            if self._heterogeneous
-            else config.cpu.mips
-        )
-        if self._heterogeneous:
-            self._buffer_capacity_vector = tuple(
-                sorted(
-                    (config.effective_buffer_pages(pe) for pe in range(config.num_pe)),
-                    reverse=True,
-                )
+        self._effective_mips = config.cpu.mips * config.mean_mips_factor
+        self._buffer_capacity_vector = tuple(
+            sorted(
+                (config.effective_buffer_pages(pe) for pe in range(config.num_pe)),
+                reverse=True,
             )
-        else:
-            self._buffer_capacity_vector = None
+        )
 
     @staticmethod
     def _query_key(query: JoinQuery) -> tuple:
@@ -123,30 +111,23 @@ class CostModel:
         """Minimal degree of parallelism avoiding temporary file I/O.
 
         psu-noIO = MIN(n, ceil(bi * F / m)) with bi the inner scan output in
-        pages, F the fudge factor and m the buffer size per processor.  On
-        heterogeneous hardware "m per processor" becomes the capacity vector:
+        pages, F the fudge factor and m the buffer size per processor.  With
+        per-PE buffer pools "m per processor" becomes the capacity vector:
         the result is the smallest k whose k largest buffer pools hold the
-        hash table (identical to the scalar formula when all pools match).
+        hash table (the scalar formula when all pools match).
         """
         key = self._query_key(query)
         cached = self._psu_no_io_cache.get(key)
         if cached is None:
             profile = self.profile(query)
             needed = profile.inner_pages * profile.fudge_factor
-            if self._buffer_capacity_vector is not None:
-                cached = self.config.num_pe
-                held = 0.0
-                for index, pages in enumerate(self._buffer_capacity_vector):
-                    held += pages
-                    if held >= needed:
-                        cached = index + 1
-                        break
-                cached = max(1, cached)
-            else:
-                memory_per_pe = self.config.buffer.buffer_pages
-                cached = max(
-                    1, min(self.config.num_pe, math.ceil(needed / memory_per_pe))
-                )
+            cached = self.config.num_pe
+            held = 0.0
+            for index, pages in enumerate(self._buffer_capacity_vector):
+                held += pages
+                if held >= needed:
+                    cached = index + 1
+                    break
             self._psu_no_io_cache[key] = cached
         return cached
 

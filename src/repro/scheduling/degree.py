@@ -8,7 +8,7 @@ control node (formula 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 from repro.scheduling.control_node import ControlNode
 from repro.scheduling.cost_model import CostModel
@@ -29,7 +29,7 @@ class DegreePolicy(Protocol):
     name: str
 
     def degree(
-        self, query: JoinQuery, cost_model: CostModel, control: Optional[ControlNode]
+        self, query: JoinQuery, cost_model: CostModel, control: ControlNode
     ) -> int:  # pragma: no cover - protocol
         ...
 
@@ -73,9 +73,4 @@ class DynamicCpuDegree:
     name: str = "pmu_cpu"
 
     def degree(self, query, cost_model, control) -> int:
-        # Capacity-weighted on heterogeneous hardware; identical to the plain
-        # average (same code path) on uniform systems.
-        utilization = (
-            control.average_effective_cpu_utilization() if control is not None else 0.0
-        )
-        return cost_model.pmu_cpu(query, utilization)
+        return cost_model.pmu_cpu(query, control.average_cpu_utilization())

@@ -28,24 +28,7 @@ __all__ = ["MinIOStrategy", "MinIOSuOptStrategy", "OptIOCpuStrategy"]
 def _avail_memory(context: SchedulingContext) -> List[NodeStatus]:
     """AVAIL-MEMORY restricted to the eligible processors."""
     eligible = set(context.eligible)
-    if context.control is not None:
-        return [
-            status for status in context.control.avail_memory() if status.pe_id in eligible
-        ]
-    # Without a control node (single-user tests) every buffer is empty.
-    config = context.cost_model.config
-    statuses = [
-        NodeStatus(
-            pe_id=pe,
-            free_memory_pages=config.effective_buffer_pages(pe),
-            cpu_capacity=config.cpu_factor(pe),
-        )
-        for pe in sorted(eligible)
-    ]
-    # Keep the AVAIL-MEMORY invariant (most free memory first) even when the
-    # per-PE pools differ.
-    statuses.sort(key=lambda status: (-status.free_memory_pages, status.pe_id))
-    return statuses
+    return [status for status in context.control.avail_memory() if status.pe_id in eligible]
 
 
 def _overflow_pages(avail: Sequence[NodeStatus], k: int, needed_pages: int) -> int:
@@ -105,8 +88,7 @@ def _build_plan(
     chosen = [status.pe_id for status in avail[:degree]]
     pages_per_processor = max(1, math.ceil(needed_pages / degree))
     overflow = _overflow_pages(avail, degree, needed_pages)
-    if context.control is not None:
-        context.control.note_join_assignment(chosen, pages_per_processor)
+    context.control.note_join_assignment(chosen, pages_per_processor)
     return JoinPlan(
         degree=len(chosen),
         processors=tuple(sorted(chosen)),
@@ -163,11 +145,7 @@ class OptIOCpuStrategy(LoadBalancingStrategy):
         profile = context.cost_model.profile(query)
         needed = profile.hash_table_pages
         avail = _avail_memory(context)
-        utilization = (
-            context.control.average_effective_cpu_utilization()
-            if context.control is not None
-            else 0.0
-        )
+        utilization = context.control.average_cpu_utilization()
         max_degree = min(len(avail), context.cost_model.pmu_cpu(query, utilization))
         io_avoiding = _io_avoiding_degrees(avail, needed, max_degree=max_degree)
         if io_avoiding:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Protocol, Sequence
 
 from repro.scheduling.control_node import ControlNode
 
@@ -36,7 +36,7 @@ class PlacementPolicy(Protocol):
         self,
         degree: int,
         eligible: Sequence[int],
-        control: Optional[ControlNode],
+        control: ControlNode,
         pages_per_processor: int = 0,
     ) -> List[int]:  # pragma: no cover - protocol
         ...
@@ -70,10 +70,6 @@ class LeastUtilizedCpuPlacement:
 
     def select(self, degree, eligible, control, pages_per_processor=0) -> List[int]:
         degree = _clamp_degree(degree, eligible)
-        if control is None:
-            # All utilisations are equal (unknown): break the tie by PE index,
-            # independent of the order the eligible set was handed over in.
-            return sorted(eligible)[:degree]
         eligible_set = set(eligible)
         ranked = [
             status.pe_id
@@ -93,10 +89,6 @@ class LeastUtilizedMemoryPlacement:
 
     def select(self, degree, eligible, control, pages_per_processor=0) -> List[int]:
         degree = _clamp_degree(degree, eligible)
-        if control is None:
-            # Equal (unknown) free memory everywhere: deterministic PE-index
-            # tie-break, as for LUC above.
-            return sorted(eligible)[:degree]
         eligible_set = set(eligible)
         ranked = [
             status.pe_id

@@ -69,7 +69,7 @@ class SchedulingContext:
     """Everything a strategy may consult when planning a join."""
 
     cost_model: CostModel
-    control: Optional[ControlNode] = None
+    control: ControlNode
     eligible_processors: Optional[Sequence[int]] = None
 
     @property

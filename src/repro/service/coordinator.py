@@ -103,8 +103,8 @@ class Coordinator:
         self._lock = self.backend.lock
         self._workers: Dict[str, Dict[str, object]] = {}
         self._sweeps: List[Dict[str, object]] = []
-        #: (figure, series, x) -> window index -> gauge values.
-        self._window_gauges: Dict[Tuple[str, str, float], Dict[int, Dict[str, float]]] = {}
+        #: (figure, series, x, replicate) -> window index -> gauge values.
+        self._window_gauges: Dict[Tuple[str, str, float, int], Dict[int, Dict[str, float]]] = {}
         self._counters = {
             "sweeps_submitted": 0,
             "results_received": 0,
@@ -231,6 +231,7 @@ class Coordinator:
             str(point_payload.get("figure", "")),
             str(point_payload.get("series", "")),
             float(point_payload.get("x", 0.0) or 0.0),
+            int(point_payload.get("replicate", 0) or 0),
         )
         gauges = self._window_gauges.setdefault(key, {})
         for index, window in enumerate(timeline.get("windows") or []):
@@ -375,12 +376,13 @@ class Coordinator:
                     "Fraction of the expected processor pool alive in the window.",
                 ),
             }
-            for (figure, series, x), gauges in sorted(self._window_gauges.items()):
+            for (figure, series, x, replicate), gauges in sorted(self._window_gauges.items()):
                 for index in sorted(gauges):
                     labels = {
                         "figure": figure,
                         "series": series,
                         "x": f"{x:g}",
+                        "replicate": replicate,
                         "window": index,
                     }
                     values = gauges[index]

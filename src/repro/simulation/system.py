@@ -101,7 +101,6 @@ class ParallelSystem:
             from repro.faults.injector import FaultRuntime
 
             self.faults: Optional[FaultRuntime] = FaultRuntime(self, faults)
-            self.control_node.attach_faults(self.faults)
         else:
             self.faults = None
         self._started = False

@@ -297,6 +297,16 @@ def test_network_transfer_advances_time_and_counts():
     assert net.bytes_sent == 20_000
 
 
+def test_single_rack_network_does_not_walk_destinations():
+    class Unwalkable:
+        def __iter__(self):
+            raise AssertionError("walked the destination list")
+
+    net = Network(Environment(), NetworkConfig(), InstructionCosts())
+    expected = NetworkConfig().transfer_time(4096)
+    assert net.transfer_time(4096, src=0, dst=Unwalkable()) == expected
+
+
 def test_network_contention_mode_serialises_when_saturated():
     env = Environment()
     net = Network(env, NetworkConfig(), InstructionCosts(), model_contention=True, link_capacity=1)

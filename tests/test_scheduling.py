@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.engine import ProcessingElement
+from repro.metrics import MetricsCollector
 from repro.scheduling import (
     ControlNode,
     CostModel,
@@ -94,14 +95,16 @@ def test_note_join_assignment_adapts_view():
 
 
 def test_memory_utilization_average():
+    """Memory utilisation summaries come from the metrics collector; the
+    control node serves free pages (AVAIL-MEMORY) only."""
     env, config, pes, control, cost_model = build_system(num_pe=2, buffer_pages=10)
 
     def reserve():
         yield pes[0].buffer.reserve("q", desired_pages=5, min_pages=5)
 
     env.process(reserve())
-    env.run()
-    assert control.average_memory_utilization() == pytest.approx(0.25)
+    env.run(until=1.0)
+    assert MetricsCollector(env).average_memory_utilization(pes) == pytest.approx(0.25)
 
 
 # -- degree policies ------------------------------------------------------------------
@@ -136,9 +139,10 @@ def test_dynamic_degree_reacts_to_cpu_load():
 
 
 def test_dynamic_degree_without_control_node_uses_su_opt():
+    """An idle control node (no report yet) leaves psu-opt unreduced."""
     env, config, pes, control, cost_model = build_system(num_pe=8)
     query = JoinQuery()
-    assert DynamicCpuDegree().degree(query, cost_model, None) == min(
+    assert DynamicCpuDegree().degree(query, cost_model, control) == min(
         8, cost_model.psu_opt(query)
     )
 
@@ -195,8 +199,11 @@ def test_lum_adaptation_spreads_consecutive_queries():
 
 
 def test_placements_without_control_node_fall_back():
-    assert LeastUtilizedCpuPlacement().select(2, [5, 6, 7], None) == [5, 6]
-    assert LeastUtilizedMemoryPlacement().select(2, [5, 6, 7], None) == [5, 6]
+    """With every PE idle, LUC and LUM tie everywhere and take the lowest
+    PE indices."""
+    env, config, pes, control, cost_model = build_system(num_pe=8)
+    assert LeastUtilizedCpuPlacement().select(2, [5, 6, 7], control) == [5, 6]
+    assert LeastUtilizedMemoryPlacement().select(2, [5, 6, 7], control) == [5, 6]
 
 
 # -- join plan validation -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coordinator service tests: sharding, stitching, /metrics, submissions."""
 
 import json
+import re
 import urllib.error
 import urllib.request
 
@@ -203,6 +204,45 @@ def test_sharded_sweep_streams_windows_and_stitches_identically(coordinator):
         view = json.loads(response.read())["timelines"]
     assert view[0]["done"] is True
     assert view[0]["windows"] == full_windows
+
+
+def test_window_gauges_keep_every_replicate(coordinator):
+    """Replicates of one (figure, series, x) point stream separate window
+    gauges: none overwrites another's."""
+    points = [
+        timeline_point(max_simulated_time=20.0),  # 4 windows of 5 s
+        timeline_point(max_simulated_time=20.0, replicate=1, seed=7),
+    ]
+    backend = HttpBackend(coordinator.url)
+    submission = backend._call(
+        "POST",
+        "/sweeps",
+        {"points": [point_payload(point) for point in points], "shard_windows": 0},
+    )
+    results = ParallelRunner(workers=1).run_points(points)
+    for point, result, task_id in zip(points, results, submission["task_ids"]):
+        assert backend.try_claim(task_id, "w1")
+        backend.complete(task_id, point, result, "w1")
+
+    text = scrape(coordinator)
+    families = validate_exposition(text)
+    assert families["repro_window_join_throughput"]["samples"] == 8
+    sample = re.compile(
+        r'^repro_window_join_throughput\{.*replicate="(\d+)",window="(\d+)"\} (\S+)$',
+        re.MULTILINE,
+    )
+    scraped = {
+        (int(replicate), int(window)): float(value)
+        for replicate, window, value in sample.findall(text)
+    }
+    expected = {
+        (point.replicate, index): window.join_throughput
+        for point, result in zip(points, results)
+        for index, window in enumerate(result.timeline.windows)
+    }
+    assert scraped == expected
+    assert expected[0, 0] != expected[1, 0]  # both replicates' values survive
+    assert "repro_windows_streamed_total 8" in text
 
 
 def test_metrics_track_queue_states_and_workers(coordinator):

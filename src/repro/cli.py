@@ -389,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lease/heartbeat timeout handed to connecting workers")
     serve.add_argument("--max-retries", type=_replicate_count, default=3, metavar="N",
                        help="attempts per task before it is marked failed")
-    serve.add_argument(
-        "--shard-windows", type=int, default=0, metavar="W",
-        help=(
-            "shard long timeline points into W-window prefix subtasks so "
-            "/metrics streams per-window gauges while the sweep runs "
-            "(0 disables sharding)"
-        ),
-    )
     return parser
 
 
@@ -637,11 +629,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import Coordinator
     from repro.service.coordinator import DEFAULT_PORT
 
-    coordinator = Coordinator(
-        lease_seconds=args.lease,
-        max_attempts=args.max_retries,
-        shard_windows=args.shard_windows,
-    )
+    coordinator = Coordinator(lease_seconds=args.lease, max_attempts=args.max_retries)
     port = DEFAULT_PORT if args.port is None else args.port
     try:
         coordinator.serve_forever(host=args.host, port=port)

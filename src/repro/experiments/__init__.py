@@ -27,8 +27,6 @@ from repro.experiments.base import (
     ExperimentResult,
     default_measured_joins,
     default_time_limit,
-    run_point,
-    run_single_user_point,
 )
 from repro.experiments.export import collect_rows, export_rows
 from repro.experiments.scenarios import (
@@ -60,8 +58,6 @@ __all__ = [
     "default_measured_joins",
     "default_time_limit",
     "export_rows",
-    "run_point",
-    "run_single_user_point",
     "homogeneous_config",
     "join_complexity_config",
     "memory_bound_config",

@@ -19,10 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.config.parameters import SystemConfig
-from repro.simulation.driver import SimulationDriver
 from repro.simulation.results import AggregatedResult, SimulationResult, aggregate_results
-from repro.workload.generator import WorkloadSpec
 
 __all__ = [
     "ExperimentPoint",
@@ -32,8 +29,6 @@ __all__ = [
     "default_measured_joins",
     "default_time_limit",
     "run_scenario",
-    "run_point",
-    "run_single_user_point",
     "format_table",
 ]
 
@@ -347,34 +342,3 @@ def run_scenario(
     if replicates > 1:
         spec = spec.with_replicates(replicates)
     return _resolve_runner(runner).run(spec)
-
-
-def run_point(
-    config: SystemConfig,
-    strategy: str,
-    measured_joins: Optional[int] = None,
-    warmup_joins: Optional[int] = None,
-    max_simulated_time: Optional[float] = None,
-    spec: Optional[WorkloadSpec] = None,
-) -> SimulationResult:
-    """Run one multi-user simulation point."""
-    measured = measured_joins if measured_joins is not None else default_measured_joins()
-    warmup = warmup_joins if warmup_joins is not None else max(5, measured // 5)
-    limit = max_simulated_time if max_simulated_time is not None else default_time_limit()
-    driver = SimulationDriver(config, strategy=strategy)
-    return driver.run_multi_user(
-        spec=spec,
-        warmup_joins=warmup,
-        measured_joins=measured,
-        max_simulated_time=limit,
-    )
-
-
-def run_single_user_point(
-    config: SystemConfig,
-    strategy: str = "psu_opt+RANDOM",
-    num_queries: int = 5,
-) -> SimulationResult:
-    """Run one single-user (one query at a time) baseline point."""
-    driver = SimulationDriver(config, strategy=strategy)
-    return driver.run_single_user(num_queries=num_queries)

@@ -22,13 +22,14 @@ boundaries and through the on-disk result cache.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.sim import Environment
 from repro.sim.monitor import percentile_sorted
 
-__all__ = ["TimelineWindow", "Timeline", "TimelineCollector", "aggregate_timelines"]
+__all__ = ["TimelineWindow", "Timeline", "TimelineCollector", "aggregate_timelines", "live_windows"]
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,13 @@ class _ResourceSnapshot:
         self.mem_area = [pe.buffer.occupancy.integral() for pe in pes]
 
 
+#: A list that collectors created in this context also append each closed
+#: window to.  A queue worker sets a fresh one per run, and its heartbeat
+#: thread reports the windows closed so far; they are frozen, so reading them
+#: from that thread touches no simulation state.
+live_windows: ContextVar[Optional[List[TimelineWindow]]] = ContextVar("live_windows", default=None)
+
+
 class TimelineCollector:
     """Accumulates windowed metrics during a run.
 
@@ -176,6 +184,7 @@ class TimelineCollector:
             groups.setdefault(getattr(pe, "node_class", "default"), []).append(index)
         self._class_groups = list(groups.items()) if len(groups) > 1 else []
         self.windows: List[TimelineWindow] = []
+        self._live = live_windows.get()
         self._join_rts: List[float] = []
         self._oltp_rts: List[float] = []
         self._window_start = env.now
@@ -273,6 +282,8 @@ class TimelineCollector:
                 effective_availability=effective_availability,
             )
         )
+        if self._live is not None:
+            self._live.append(self.windows[-1])
         self._join_rts = []
         self._oltp_rts = []
         self._window_start = end

@@ -56,7 +56,6 @@ from repro.runner.spec import (
     derive_seed,
     expand,
     point_from_payload,
-    shard_timeline_point,
 )
 from repro.runner.worker import Worker, WorkerStats
 
@@ -87,5 +86,4 @@ __all__ = [
     "point_from_payload",
     "point_key",
     "register_scenario",
-    "shard_timeline_point",
 ]

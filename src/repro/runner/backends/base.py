@@ -36,6 +36,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.metrics.timeline import TimelineWindow
 from repro.runner.spec import PointSpec
 from repro.simulation.results import SimulationResult
 
@@ -252,6 +253,15 @@ class QueueBackend(ABC):
     @abstractmethod
     def heartbeat(self, task_id: str, worker: str) -> bool:
         """Refresh the lease's heartbeat; False when the lease is lost."""
+
+    def report_windows(
+        self, task_id: str, worker: str, first: int, windows: Sequence[TimelineWindow]
+    ) -> None:
+        """Show a running task's closed windows ``first, first + 1, ...``.
+
+        A live view only: the finished result carries every window.  Local
+        backends have nobody to show them to, so this is a no-op.
+        """
 
     @abstractmethod
     def release(self, task_id: str, worker: Optional[str] = None) -> None:

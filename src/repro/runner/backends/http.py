@@ -34,6 +34,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.metrics.timeline import TimelineWindow
 from repro.runner.backends.base import (
     DEFAULT_MAX_ATTEMPTS,
     ClaimedTask,
@@ -305,6 +306,14 @@ class HttpBackend(QueueBackend):
             "POST", "/heartbeat", {"task_id": task_id, "worker": worker}
         )
         return bool((response or {}).get("ok"))
+
+    def report_windows(
+        self, task_id: str, worker: str, first: int, windows: Sequence[TimelineWindow]
+    ) -> None:
+        from dataclasses import asdict
+
+        report = {"task_id": task_id, "worker": worker, "first": first}
+        self._call("POST", "/windows", dict(report, windows=[asdict(w) for w in windows]))
 
     def release(self, task_id: str, worker: Optional[str] = None) -> None:
         self._call("POST", "/release", {"task_id": task_id, "worker": worker})

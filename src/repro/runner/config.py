@@ -7,8 +7,7 @@ The CLI grew its runner options one PR at a time --
 same "which runner do these flags mean?" decision tree.  This dataclass
 is that decision tree, once: build a config (directly, or from parsed CLI
 args via :meth:`from_args`), then :meth:`make_runner` yields the serial /
-process-pool / distributed runner it describes, and :meth:`make_backend`
-the queue backend for worker/status-style commands.
+process-pool / distributed runner it describes.
 
 Precedence: a queue target (``url`` wins over ``queue_dir``) selects a
 :class:`~repro.runner.distributed.DistributedRunner` whose backend owns
@@ -22,7 +21,7 @@ so the choice never changes tables, aggregates or exports.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
@@ -31,7 +30,6 @@ if TYPE_CHECKING:
     import argparse
     import os
 
-    from repro.runner.backends.base import QueueBackend
     from repro.runner.cache import ResultCache
     from repro.runner.runner import ParallelRunner
 
@@ -107,18 +105,6 @@ class RunnerConfig:
             max_retries=getattr(args, "max_retries", None),
             lease_seconds=getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS,
         )
-
-    def with_updates(self, **updates: object) -> "RunnerConfig":
-        return replace(self, **updates)
-
-    def make_backend(self) -> "QueueBackend":
-        """The queue backend this config points at (distributed configs only)."""
-        from repro.runner.backends import make_backend
-
-        target = self.queue_target
-        if target is None:
-            raise ValueError("config has no queue target (set url or queue_dir)")
-        return make_backend(target, lease_seconds=self.lease_seconds)
 
     def make_runner(self) -> "ParallelRunner":
         """The execution driver this config describes."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -52,7 +51,6 @@ __all__ = [
     "derive_seed",
     "expand",
     "point_from_payload",
-    "shard_timeline_point",
 ]
 
 #: Kinds of point execution understood by the runner.  ``timeline`` runs an
@@ -506,49 +504,6 @@ def point_from_payload(payload) -> PointSpec:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"point field {name!r} must be an integer, got {value!r}")
     return PointSpec(**data)
-
-
-def shard_timeline_point(
-    point: PointSpec, shard_windows: int
-) -> Tuple[PointSpec, ...]:
-    """Split a long timeline point into *prefix-run* window-range subtasks.
-
-    A deterministic event-driven run has the prefix property: everything
-    that happens before simulated time ``t`` is independent of the horizon,
-    so a run truncated at ``t`` produces exactly the windows ``[0, t)`` of
-    the full run.  Shard ``k`` is therefore the same point with
-    ``max_simulated_time`` clamped to the ``k * shard_windows``-th window
-    boundary -- a perfectly ordinary :class:`PointSpec` with its own cache
-    key -- and the final shard is the *original* point (full horizon, same
-    cache key), so stitching the shards back in expansion order degenerates
-    to taking the longest finished prefix and the stitched result is
-    trivially byte-identical to an unsharded run.
-
-    The price is duplicated prefix work (roughly ``(s + 1) / 2`` times the
-    full run for ``s`` shards); the payoff is that a coordinator can stream
-    a long point's windows while it runs and spread the prefixes across
-    idle workers, instead of watching one worker go dark for the whole
-    horizon.  Points that are not timelines, have no resolved duration, or
-    fit within ``shard_windows`` windows shard to themselves.
-    """
-    if shard_windows < 1 or point.kind != "timeline" or point.max_simulated_time is None:
-        return (point,)
-    window = (
-        point.timeline_window
-        if point.timeline_window is not None
-        else DEFAULT_TIMELINE_WINDOW
-    )
-    duration = float(point.max_simulated_time)
-    total_windows = math.ceil(duration / window - 1e-9)
-    if total_windows <= shard_windows:
-        return (point,)
-    shards = []
-    windows = shard_windows
-    while windows < total_windows:
-        shards.append(replace(point, max_simulated_time=windows * window))
-        windows += shard_windows
-    shards.append(point)
-    return tuple(shards)
 
 
 def _canonical_x(value: float) -> float:

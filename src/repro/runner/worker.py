@@ -9,11 +9,14 @@ atomically claims one task at a time, executes the point through the same
 result in the queue's result store and marks the task done.
 
 While a task runs, a daemon thread refreshes the lease heartbeat every
-``lease_seconds / 4``; if the worker dies, its lease goes stale and another
-worker reclaims the task (immediately when the dead worker lived on the
-same host, after the lease timeout otherwise).  A task that raises consumes
-one unit of its retry budget and is released for another attempt; once the
-budget is exhausted the queue reports it as failed.
+``lease_seconds / 4`` and then reports the timeline windows the run closed
+since its last report (``QueueBackend.report_windows``), so a coordinator
+shows a long point's windows before the point finishes.  If the worker
+dies, its lease goes stale and another worker reclaims the task
+(immediately when the dead worker lived on the same host, after the lease
+timeout otherwise).  A task that raises consumes one unit of its retry
+budget and is released for another attempt; once the budget is exhausted
+the queue reports it as failed.
 
 Interruption (SIGTERM via the CLI handler, or Ctrl-C) releases the current
 lease without consuming a retry, so a killed worker's task is re-run -- not
@@ -32,8 +35,9 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
+from repro.metrics.timeline import TimelineWindow, live_windows
 from repro.runner.backends.base import ClaimedTask, QueueBackend
 from repro.runner.runner import PointExecutionError, execute_point_checked
 from repro.simulation.results import SimulationResult
@@ -55,7 +59,7 @@ class WorkerStats:
 
 
 class _Heartbeat(threading.Thread):
-    """Refreshes one task's lease until stopped."""
+    """Refreshes one task's lease and reports its closed windows until stopped."""
 
     def __init__(self, queue: QueueBackend, task_id: str, worker_id: str, interval: float):
         super().__init__(name=f"heartbeat-{task_id[:8]}", daemon=True)
@@ -63,15 +67,21 @@ class _Heartbeat(threading.Thread):
         self._task_id = task_id
         self._worker_id = worker_id
         self._interval = interval
+        self.windows: List[TimelineWindow] = []  # the run's collector appends here
         # Not named ``_stop``: that would shadow threading.Thread's internal
         # ``_stop()`` method and break ``join``.
         self._halt = threading.Event()
 
     def run(self) -> None:
+        reported = 0
         while not self._halt.wait(self._interval):
             try:
                 if not self._queue.heartbeat(self._task_id, self._worker_id):
                     return  # lease lost (reclaimed): completion stays safe
+                closed = self.windows[reported:]
+                if closed:
+                    self._queue.report_windows(self._task_id, self._worker_id, reported, closed)
+                    reported += len(closed)
             except OSError:
                 pass  # transient FS hiccup: try again next interval
 
@@ -137,6 +147,7 @@ class Worker:
             return
         heartbeat = _Heartbeat(self.queue, task_id, self.worker_id, self.heartbeat_interval)
         heartbeat.start()
+        token = live_windows.set(heartbeat.windows)
         try:
             data = execute_point_checked(task.point)
         except PointExecutionError as exc:
@@ -150,6 +161,8 @@ class Worker:
             heartbeat.stop()
             self.queue.release(task_id, self.worker_id)
             raise
+        finally:
+            live_windows.reset(token)
         heartbeat.stop()
         result = SimulationResult.from_dict(data)
         self.queue.complete(task_id, task.point, result, self.worker_id)

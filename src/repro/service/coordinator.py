@@ -14,32 +14,28 @@ Beyond the queue protocol the coordinator adds the service features:
   :func:`~repro.runner.spec.point_from_payload`) or a registered scenario
   by name (``{"scenario": "figure5", "kwargs": {...}}``), expanded
   server-side through the scenario registry.
-* **Timeline sharding** -- long ``timeline`` points are split into
-  prefix-run window-range subtasks
-  (:func:`~repro.runner.spec.shard_timeline_point`); the per-sweep shard
-  map lets the coordinator stitch finished prefixes back in expansion
-  order, streaming a long point's windows while it is still running.  The
-  final shard *is* the original point, so the stitched result is
-  byte-identical to an unsharded run by construction.
+* **Live windows** -- while a timeline point runs, its worker reports the
+  windows closed so far after each heartbeat (``POST /windows``), so the
+  window gauges fill in before the point finishes.
 * **Prometheus metrics** -- ``GET /metrics`` renders task states, worker
   liveness (from claim/heartbeat traffic) and per-window
   throughput/response-time/availability gauges in text exposition format,
-  updated the moment each result (or shard prefix) lands.
+  updated as windows are reported and when each result lands.
 
 Endpoints (JSON unless noted)::
 
     GET  /health               liveness probe
-    GET  /config               lease/retry/shard settings of this queue
+    GET  /config               lease/retry settings of this queue
     GET  /tasks                every task id
     GET  /tasks/<id>           durable task record
     GET  /tasks/<id>/state     done/attempts/last_error/lease of one task
     GET  /results/<id>         stored result payload
-    GET  /timelines            stitched window prefixes per sharded point
     GET  /metrics              Prometheus text format (0.0.4)
     POST /sweeps               submit points or a registered scenario
     POST /claim                claim-next on behalf of a worker
     POST /try_claim            targeted claim (conformance/diagnostics)
     POST /heartbeat            refresh a held lease
+    POST /windows              closed timeline windows of a running task
     POST /release              drop a lease
     POST /complete             store a result + completion marker
     POST /fail                 charge a failed attempt
@@ -63,7 +59,7 @@ from repro.runner.backends.base import (
     TaskRecord,
 )
 from repro.runner.backends.memory import MemoryBackend
-from repro.runner.spec import PointSpec, point_from_payload, shard_timeline_point
+from repro.runner.spec import PointSpec, point_from_payload
 
 __all__ = ["Coordinator", "DEFAULT_PORT"]
 
@@ -73,6 +69,17 @@ DEFAULT_PORT = 8723
 #: A worker is considered up while its last claim/heartbeat/completion is
 #: younger than this many lease periods.
 _LIVENESS_LEASES = 2.0
+
+#: The top-level fields of a ``POST /sweeps`` body.
+_SUBMISSION_FIELDS = ("points", "scenario", "kwargs", "replicates", "max_attempts")
+
+
+def _count_field(payload: Dict[str, object], name: str, default: int) -> int:
+    """An integer >= 1 from a sweep submission; ``default`` when absent."""
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"sweep field {name!r} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _record_payload(record: TaskRecord) -> Dict[str, object]:
@@ -85,24 +92,19 @@ def _record_payload(record: TaskRecord) -> Dict[str, object]:
 
 
 class Coordinator:
-    """In-memory queue + sweep registry + metrics, served over HTTP."""
+    """In-memory queue + metrics, served over HTTP."""
 
     def __init__(
         self,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        shard_windows: int = 0,
     ):
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if shard_windows < 0:
-            raise ValueError(f"shard_windows must be >= 0, got {shard_windows}")
         self.backend = MemoryBackend(lease_seconds=lease_seconds)
         self.max_attempts = int(max_attempts)
-        self.shard_windows = int(shard_windows)
         self._lock = self.backend.lock
         self._workers: Dict[str, Dict[str, object]] = {}
-        self._sweeps: List[Dict[str, object]] = []
         #: (figure, series, x, replicate) -> window index -> gauge values.
         self._window_gauges: Dict[Tuple[str, str, float, int], Dict[int, Dict[str, float]]] = {}
         self._counters = {
@@ -132,40 +134,19 @@ class Coordinator:
     def submit_sweep(self, payload: Dict[str, object]) -> Dict[str, object]:
         """Enqueue a sweep: expanded points, or a registered scenario by name.
 
-        Timeline points longer than ``shard_windows`` windows additionally
-        enqueue their prefix-run shards; the summary and the returned
-        ``task_ids`` describe the *original* points (what a dispatching
-        client waits on), ``shards`` maps each sharded point to its subtask
-        ids in expansion order.
+        Unknown top-level fields and a ``replicates``/``max_attempts`` that is
+        not an integer >= 1 raise :class:`ValueError` naming the field.
         """
-        points = self._points_from_submission(payload)
+        unknown = sorted(set(payload) - set(_SUBMISSION_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown sweep field(s): {', '.join(map(repr, unknown))}")
+        max_attempts = _count_field(payload, "max_attempts", self.max_attempts)
+        points = self._points_from_submission(payload, _count_field(payload, "replicates", 1))
         if not points:
             raise ValueError("sweep submission contains no points")
-        max_attempts = int(payload.get("max_attempts") or self.max_attempts)
-        shard_windows = payload.get("shard_windows")
-        shard_windows = self.shard_windows if shard_windows is None else int(shard_windows)
-        prefixes: List[PointSpec] = []
-        shards: Dict[str, List[str]] = {}
-        original_ids: List[str] = []
-        for point in points:
-            task_id = self.backend.task_id(point)
-            original_ids.append(task_id)
-            parts = shard_timeline_point(point, shard_windows)
-            if len(parts) > 1:
-                shards[task_id] = [self.backend.task_id(part) for part in parts]
-                prefixes.extend(parts[:-1])
+        task_ids = [self.backend.task_id(point) for point in points]
         with self._lock:
             summary = self.backend.enqueue(points, max_attempts=max_attempts)
-            if prefixes:
-                self.backend.enqueue(prefixes, max_attempts=max_attempts)
-            self._sweeps.append(
-                {
-                    "id": len(self._sweeps) + 1,
-                    "task_ids": original_ids,
-                    "shards": shards,
-                    "submitted_at": time.time(),
-                }
-            )
             self._counters["sweeps_submitted"] += 1
         return {
             "summary": {
@@ -174,12 +155,11 @@ class Coordinator:
                 "already_done": summary.already_done,
                 "total": summary.total,
             },
-            "task_ids": original_ids,
-            "shards": shards,
+            "task_ids": task_ids,
         }
 
     @staticmethod
-    def _points_from_submission(payload: Dict[str, object]) -> List[PointSpec]:
+    def _points_from_submission(payload: Dict[str, object], replicates: int) -> List[PointSpec]:
         if "points" in payload:
             raw = payload["points"]
             if not isinstance(raw, list):
@@ -193,7 +173,6 @@ class Coordinator:
             if not isinstance(kwargs, dict):
                 raise ValueError("'kwargs' must be an object")
             spec = build_scenario(str(payload["scenario"]), **kwargs)
-            replicates = int(payload.get("replicates") or 1)
             if replicates > 1:
                 spec = spec.with_replicates(replicates)
             return list(expand(spec))
@@ -217,24 +196,35 @@ class Coordinator:
                 )
                 self.backend.release(task_id, worker)
             self._counters["results_received"] += 1
-            self._observe_timeline(point_payload, result_payload)
+            timeline = (result_payload or {}).get("timeline")
+            if timeline and point_payload:
+                self._fold_windows(point_payload, 0, timeline.get("windows") or [])
 
-    def _observe_timeline(
-        self,
-        point_payload: Optional[Dict[str, object]],
-        result_payload: Optional[Dict[str, object]],
+    def record_windows(self, task_id: str, first: object, windows: object) -> bool:
+        """Fold a running task's windows ``first, first + 1, ...`` (False: unknown task)."""
+        if isinstance(first, bool) or not isinstance(first, int) or first < 0:
+            raise ValueError(f"'first' must be an integer >= 0, got {first!r}")
+        if not isinstance(windows, list) or not all(isinstance(w, dict) for w in windows):
+            raise ValueError("'windows' must be a list of window objects")
+        with self._lock:
+            record = self.backend.load_task(task_id)
+            if record is None:
+                return False
+            self._fold_windows(asdict(record.point), first, windows)
+            return True
+
+    def _fold_windows(
+        self, point: Dict[str, object], first: int, windows: List[Dict[str, object]]
     ) -> None:
-        timeline = (result_payload or {}).get("timeline")
-        if not timeline or not point_payload:
-            return
+        """Fold windows ``first, first + 1, ...`` of one point into its gauges."""
         key = (
-            str(point_payload.get("figure", "")),
-            str(point_payload.get("series", "")),
-            float(point_payload.get("x", 0.0) or 0.0),
-            int(point_payload.get("replicate", 0) or 0),
+            str(point.get("figure", "")),
+            str(point.get("series", "")),
+            float(point.get("x", 0.0) or 0.0),
+            int(point.get("replicate", 0) or 0),
         )
         gauges = self._window_gauges.setdefault(key, {})
-        for index, window in enumerate(timeline.get("windows") or []):
+        for index, window in enumerate(windows, start=first):
             if index not in gauges:
                 self._counters["windows_streamed"] += 1
             joins = float(window.get("joins_completed", 0) or 0)
@@ -252,52 +242,6 @@ class Coordinator:
                 ),
                 "availability": float(window.get("availability", 1.0)),
             }
-
-    def stitched_windows(self, task_id: str) -> Optional[List[Dict[str, object]]]:
-        """The longest finished window prefix of a sharded timeline point.
-
-        Walks the point's shards in expansion order (increasing horizon)
-        and extends the stitched list with each finished shard's windows
-        beyond what earlier shards already covered -- the prefix property
-        guarantees the overlap is identical, so this is a pure
-        concatenation in expansion order.
-        """
-        with self._lock:
-            for sweep in self._sweeps:
-                shard_ids = sweep["shards"].get(task_id)  # type: ignore[union-attr]
-                if not shard_ids:
-                    continue
-                stitched: List[Dict[str, object]] = []
-                for shard_id in shard_ids:
-                    payload = self.backend.result_payload(shard_id)
-                    timeline = (payload or {}).get("timeline")
-                    if not timeline:
-                        continue
-                    windows = timeline.get("windows") or []
-                    if len(windows) > len(stitched):
-                        stitched.extend(windows[len(stitched):])
-                return stitched
-        return None
-
-    def timelines_view(self) -> List[Dict[str, object]]:
-        with self._lock:
-            view = []
-            for sweep in self._sweeps:
-                for task_id in sweep["shards"]:  # type: ignore[union-attr]
-                    record = self.backend.load_task(task_id)
-                    windows = self.stitched_windows(task_id) or []
-                    view.append(
-                        {
-                            "task_id": task_id,
-                            "figure": record.point.figure if record else None,
-                            "series": record.point.series if record else None,
-                            "x": record.point.x if record else None,
-                            "done": self.backend.is_done(task_id),
-                            "shards": sweep["shards"][task_id],  # type: ignore[index]
-                            "windows": windows,
-                        }
-                    )
-            return view
 
     # -- metrics -------------------------------------------------------------------
     def render_metrics(self) -> str:
@@ -424,9 +368,7 @@ class Coordinator:
         bound_host, bound_port = server.server_address[:2]
         print(f"repro-lb coordinator serving on http://{bound_host}:{bound_port}", flush=True)
         print(
-            f"  lease={self.backend.lease_seconds:g}s retries={self.max_attempts} "
-            f"shard_windows={self.shard_windows or 'off'}",
-            flush=True,
+            f"  lease={self.backend.lease_seconds:g}s retries={self.max_attempts}", flush=True
         )
         try:
             server.serve_forever()
@@ -487,7 +429,6 @@ class _Handler(BaseHTTPRequestHandler):
                     {
                         "lease_seconds": backend.lease_seconds,
                         "max_attempts": self.coordinator.max_attempts,
-                        "shard_windows": self.coordinator.shard_windows,
                         "started_at": self.coordinator._started_at,
                     }
                 )
@@ -496,8 +437,6 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 body = self.coordinator.render_metrics().encode("utf-8")
                 self._send(200, body, content_type="text/plain; version=0.0.4; charset=utf-8")
-            elif path == "/timelines":
-                self._json({"timelines": self.coordinator.timelines_view()})
             elif path.startswith("/tasks/") and path.endswith("/state"):
                 task_id = path[len("/tasks/"):-len("/state")]
                 self._json(
@@ -561,6 +500,12 @@ class _Handler(BaseHTTPRequestHandler):
                 coordinator.touch_worker(worker)
                 ok = backend.heartbeat(str(body["task_id"]), worker)
                 self._json({"ok": bool(ok)})
+            elif path == "/windows":
+                coordinator.touch_worker(str(body["worker"]))
+                if coordinator.record_windows(str(body["task_id"]), body["first"], body["windows"]):
+                    self._json({"ok": True})
+                else:
+                    self._error(404, "no such task")
             elif path == "/release":
                 worker = body.get("worker")
                 backend.release(

@@ -6,7 +6,6 @@ from repro.experiments import ExperimentPoint, ExperimentResult, render_paramete
 from repro.experiments.base import (
     default_measured_joins,
     default_time_limit,
-    run_point,
     run_scenario,
 )
 from repro.experiments.figure7 import degree_table
@@ -17,6 +16,7 @@ from repro.experiments.scenarios import (
     memory_bound_config,
     mixed_workload_config,
 )
+from repro.simulation.driver import SimulationDriver
 from repro.simulation.results import SimulationResult
 
 
@@ -179,8 +179,8 @@ def test_figure9_tiny_run_runs_oltp():
 
 
 def test_run_point_respects_measured_joins():
-    result = run_point(homogeneous_config(10), "OPT-IO-CPU", measured_joins=5,
-                       max_simulated_time=30)
+    driver = SimulationDriver(homogeneous_config(10), strategy="OPT-IO-CPU")
+    result = driver.run_multi_user(warmup_joins=5, measured_joins=5, max_simulated_time=30)
     assert result.joins_completed >= 5
 
 

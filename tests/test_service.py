@@ -1,21 +1,23 @@
-"""Coordinator service tests: sharding, stitching, /metrics, submissions."""
+"""Coordinator service tests: live windows, /metrics, submissions."""
 
 import json
 import re
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.metrics import MetricFamily, render_families, validate_exposition
+from repro.metrics.timeline import TimelineWindow
 from repro.runner import (
     DistributedRunner,
     ParallelRunner,
     PointSpec,
     Worker,
-    shard_timeline_point,
+    build_scenario,
 )
-from repro.runner.backends import HttpBackend
+from repro.runner.backends import FilesystemBackend, HttpBackend
 from repro.service import Coordinator
 
 
@@ -36,7 +38,7 @@ def point_payload(point: PointSpec) -> dict:
 
 @pytest.fixture
 def coordinator():
-    coord = Coordinator(lease_seconds=30.0, shard_windows=2)
+    coord = Coordinator(lease_seconds=30.0)
     coord.start()
     yield coord
     coord.stop()
@@ -46,6 +48,20 @@ def scrape(coord: Coordinator) -> str:
     with urllib.request.urlopen(coord.url + "/metrics") as response:
         assert response.headers["Content-Type"].startswith("text/plain")
         return response.read().decode("utf-8")
+
+
+def refused(coord: Coordinator, path: str, body: dict) -> tuple:
+    """POST a request the coordinator must refuse: (status, error message)."""
+    request = urllib.request.Request(
+        coord.url + path,
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    with excinfo.value as error:
+        return error.code, json.loads(error.read())["error"]
 
 
 # -- prometheus renderer ----------------------------------------------------------
@@ -73,31 +89,33 @@ def test_validate_exposition_rejects_malformed_text():
         validate_exposition("# TYPE demo gauge\ndemo not-a-number\n")
 
 
-# -- timeline sharding ------------------------------------------------------------
-def test_shard_timeline_point_prefixes_and_identity():
-    point = timeline_point()  # 6 windows of 5 s
-    shards = shard_timeline_point(point, 2)
-    assert [shard.max_simulated_time for shard in shards] == [10.0, 20.0, 30.0]
-    assert shards[-1] == point  # the final shard IS the original task
-    # Short points and non-timeline points pass through unsharded.
-    assert shard_timeline_point(timeline_point(max_simulated_time=10.0), 2) == (
-        timeline_point(max_simulated_time=10.0),
+# -- the prefix property ---------------------------------------------------------
+def chained_crash_point() -> PointSpec:
+    """The replication scenario's chained point under a PE crash at 15 s
+    that recovers at 30 s (8 PE, 40 s, 5 s windows)."""
+    spec = build_scenario(
+        "replication", system_sizes=(8,), strategies=("OPT-IO-CPU",),
+        fault_names=("crash",), replication=("chained",), max_simulated_time=40.0,
     )
-    assert shard_timeline_point(timeline_point(kind="multi"), 2) == (
-        timeline_point(kind="multi"),
-    )
-    assert shard_timeline_point(point, 0) == (point,)
+    (point,) = spec.points()
+    assert point.series == "OPT-IO-CPU chained [crash1@15]"
+    return point
 
 
-def test_shard_prefix_runs_equal_full_run_window_prefixes():
-    point = timeline_point()
-    shards = shard_timeline_point(point, 2)
-    full = ParallelRunner(workers=1).run_points([point])[0].to_dict()
-    prefix = ParallelRunner(workers=1).run_points([shards[0]])[0].to_dict()
-    full_windows = full["timeline"]["windows"]
-    prefix_windows = prefix["timeline"]["windows"]
-    assert len(prefix_windows) == 2
-    assert prefix_windows == full_windows[: len(prefix_windows)]
+@pytest.mark.parametrize(
+    "point",
+    [timeline_point(max_simulated_time=40.0), chained_crash_point()],
+    ids=["homogeneous", "chained-crash"],
+)
+def test_prefix_runs_equal_full_run_window_prefixes(point):
+    """A run cut short at t yields exactly the leading windows of the full
+    run, also when t is the crash or the recovery instant."""
+    full = ParallelRunner(workers=1).run_points([point])[0].timeline.windows
+    for cut in (15.0, 20.0, 30.0, 35.0):
+        cut_point = replace(point, max_simulated_time=cut)
+        prefix = ParallelRunner(workers=1).run_points([cut_point])[0].timeline.windows
+        assert len(prefix) == cut / 5.0
+        assert prefix == full[: len(prefix)]
 
 
 # -- sweep submission -------------------------------------------------------------
@@ -127,15 +145,8 @@ def test_submit_sweep_rejects_garbage(coordinator):
 
 
 def test_submit_sweep_rejects_garbage_over_http(coordinator):
-    request = urllib.request.Request(
-        coordinator.url + "/sweeps",
-        data=b'{"points": "nope"}',
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request)
-    assert excinfo.value.code == 400
+    code, _ = refused(coordinator, "/sweeps", {"points": "nope"})
+    assert code == 400
 
 
 @pytest.mark.parametrize(
@@ -145,65 +156,99 @@ def test_submit_sweep_rejects_garbage_over_http(coordinator):
 )
 def test_submit_sweep_rejects_invalid_points_over_http(coordinator, field, value):
     payload = dict(point_payload(timeline_point()), **{field: value})
-    request = urllib.request.Request(
-        coordinator.url + "/sweeps",
-        data=json.dumps({"points": [payload]}).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request)
-    assert excinfo.value.code == 400
-    assert field in json.loads(excinfo.value.read())["error"]
+    code, message = refused(coordinator, "/sweeps", {"points": [payload]})
+    assert code == 400
+    assert field in message
     assert coordinator.backend.task_ids() == []
 
 
-# -- sharded drain: stitching + streaming metrics ---------------------------------
-def test_sharded_sweep_streams_windows_and_stitches_identically(coordinator):
-    point = timeline_point()
-    shards = shard_timeline_point(point, 2)
+@pytest.mark.parametrize(
+    "field, value",
+    [("replicates", 0), ("replicates", -3), ("replicates", 2.7), ("replicates", None),
+     ("max_attempts", 0), ("max_attempts", 2.5), ("max_attempts", True),
+     ("priority", 1)],
+)
+def test_submit_sweep_rejects_invalid_fields_over_http(coordinator, field, value):
+    submission = {"scenario": "figure5", "kwargs": {"system_sizes": [10]}, field: value}
+    code, message = refused(coordinator, "/sweeps", submission)
+    assert code == 400
+    assert field in message
+    assert coordinator.backend.task_ids() == []
+
+
+# -- live windows -----------------------------------------------------------------
+THROUGHPUT = re.compile(
+    r'^repro_window_join_throughput\{.*window="(\d+)"\} (\S+)$', re.MULTILINE
+)
+
+
+def throughputs(text: str) -> dict:
+    """Window index -> scraped join-throughput gauge."""
+    return {int(index): float(value) for index, value in THROUGHPUT.findall(text)}
+
+
+def test_heartbeat_streams_windows_before_completion(monkeypatch):
+    """A running point's closed windows reach /metrics on the worker's
+    heartbeat; the completion then overwrites them with equal values and
+    counts none of them twice."""
+    coordinator = Coordinator(lease_seconds=0.4)  # heartbeats every 0.1 s
+    coordinator.start()
+    try:
+        point = timeline_point(max_simulated_time=60.0)  # 12 windows of 5 s
+        backend = HttpBackend(coordinator.url)
+        backend.enqueue([point])
+        at_completion = []
+        record_completion = coordinator.record_completion
+
+        def recording(*args):
+            at_completion.append(coordinator.render_metrics())
+            record_completion(*args)
+
+        monkeypatch.setattr(coordinator, "record_completion", recording)
+        stats = Worker(backend, worker_id="w1", poll_interval=0.02).run()
+        assert stats.executed == 1
+        (before,) = at_completion
+        streamed = throughputs(before)
+        assert streamed, "no window reached /metrics before the completion"
+        assert "repro_results_received_total 0" in before
+
+        result = backend.load_result(point)
+        text = scrape(coordinator)
+        final = throughputs(text)
+        assert final == dict(enumerate(result.timeline.series("join_throughput")))
+        assert streamed.items() <= final.items()
+        assert len(final) == 12
+        assert "repro_windows_streamed_total 12" in text
+    finally:
+        coordinator.stop()
+
+
+def test_report_windows_is_a_noop_locally_and_ignored_for_unknown_tasks(
+    coordinator, tmp_path
+):
+    window = TimelineWindow(start=0.0, end=5.0)
+    queue = FilesystemBackend(tmp_path / "queue")
+    files = sorted(tmp_path.rglob("*"))
+    queue.report_windows("some-task", "w1", 0, [window])
+    assert sorted(tmp_path.rglob("*")) == files
+
+    HttpBackend(coordinator.url).report_windows("no-such-task", "w1", 0, [window])
+    text = scrape(coordinator)
+    assert "repro_windows_streamed_total 0" in text
+    assert validate_exposition(text)["repro_window_join_throughput"]["samples"] == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("first", -1), ("first", True), ("first", "0"), ("windows", "nope"), ("windows", [1])],
+)
+def test_windows_endpoint_rejects_invalid_reports(coordinator, field, value):
     backend = HttpBackend(coordinator.url)
-    submission = backend._call("POST", "/sweeps", {"points": [point_payload(point)]})
-    task_id = submission["task_ids"][0]
-    shard_ids = submission["shards"][task_id]
-    assert len(shard_ids) == 3 and shard_ids[-1] == task_id
-
-    # Complete only the first (shortest-prefix) shard: its windows must show
-    # up in /metrics and /timelines while the full point is still pending.
-    results = {s: ParallelRunner(workers=1).run_points([s])[0] for s in shards}
-    first = shards[0]
-    assert backend.try_claim(shard_ids[0], "w1")
-    backend.complete(shard_ids[0], first, results[first], "w1")
-
-    text = scrape(coordinator)
-    families = validate_exposition(text)
-    assert families["repro_window_join_throughput"]["samples"] == 2
-    assert 'figure="f"' in text and 'series="s"' in text and 'window="0"' in text
-    assert not backend.is_done(task_id)
-    stitched = coordinator.stitched_windows(task_id)
-    assert len(stitched) == 2
-
-    # Drain the rest; the stitched timeline must equal the unsharded run's.
-    for shard, shard_id in zip(shards[1:], shard_ids[1:]):
-        assert backend.try_claim(shard_id, "w1")
-        backend.complete(shard_id, shard, results[shard], "w1")
-    assert backend.is_done(task_id)
-    # Stored payloads went through JSON, which turns tuples into lists --
-    # normalise the local reference the same way before comparing.
-    full_windows = json.loads(json.dumps(results[point].to_dict()))["timeline"]["windows"]
-    assert coordinator.stitched_windows(task_id) == full_windows
-
-    # The final shard is the original task, so the stored result is the
-    # unsharded result itself -- not a reconstruction.
-    assert backend.load_result(point) == results[point]
-
-    text = scrape(coordinator)
-    families = validate_exposition(text)
-    assert families["repro_window_join_throughput"]["samples"] == len(full_windows)
-    with urllib.request.urlopen(coordinator.url + "/timelines") as response:
-        view = json.loads(response.read())["timelines"]
-    assert view[0]["done"] is True
-    assert view[0]["windows"] == full_windows
+    backend.enqueue([timeline_point()])
+    report = {"task_id": backend.task_ids()[0], "worker": "w1", "first": 0, "windows": []}
+    code, message = refused(coordinator, "/windows", dict(report, **{field: value}))
+    assert code == 400
+    assert field in message
 
 
 def test_window_gauges_keep_every_replicate(coordinator):
@@ -217,7 +262,7 @@ def test_window_gauges_keep_every_replicate(coordinator):
     submission = backend._call(
         "POST",
         "/sweeps",
-        {"points": [point_payload(point) for point in points], "shard_windows": 0},
+        {"points": [point_payload(point) for point in points]},
     )
     results = ParallelRunner(workers=1).run_points(points)
     for point, result, task_id in zip(points, results, submission["task_ids"]):
@@ -246,7 +291,7 @@ def test_window_gauges_keep_every_replicate(coordinator):
 
 
 def test_metrics_track_queue_states_and_workers(coordinator):
-    point = timeline_point(max_simulated_time=10.0)  # unsharded
+    point = timeline_point(max_simulated_time=10.0)
     backend = HttpBackend(coordinator.url)
     backend.enqueue([point])
     families = validate_exposition(scrape(coordinator))

@@ -25,24 +25,21 @@ sweeps).  ``--arrival {poisson,deterministic,mmpp,sine,step,trace}`` drives
 the sweep with a (possibly non-stationary) arrival process and records a
 windowed time series per run.
 
-Distributed sweeps shard a scenario's points across worker processes, either
-through a shared queue directory or through a long-lived HTTP coordinator::
+Distributed sweeps run through one long-lived HTTP coordinator, whose
+workers may sit on any host that reaches it::
 
-    repro-lb dispatch figure5 --queue-dir /mnt/queue --replicates 5
-    repro-lb worker --queue-dir /mnt/queue          # on each host
-    repro-lb status --queue-dir /mnt/queue
-    repro-lb experiment figure5 --replicates 5 \
-        --distributed --queue-dir /mnt/queue --export csv
+    repro-lb serve --port 8723 --state-dir /var/lib/repro-lb   # coordinator host
+    repro-lb dispatch figure5 --url http://coord:8723 --replicates 5
+    repro-lb worker --url http://coord:8723                    # on each host
+    repro-lb status --url http://coord:8723
+    repro-lb experiment figure5 --replicates 5 --url http://coord:8723 --export csv
+    curl http://coord:8723/metrics                             # Prometheus scrape
 
-    repro-lb serve --port 8723                      # coordinator host
-    repro-lb worker --backend http --url http://coord:8723   # any host
-    repro-lb experiment figure5 --url http://coord:8723 --export csv
-    curl http://coord:8723/metrics                  # Prometheus scrape
-
-``experiment``/``sweep`` with a queue target (``--queue-dir`` or ``--url``)
-enqueue any missing points, wait for workers to drain the queue and fold the
-results in expansion order -- output is byte-identical to a local
-``--workers N`` run over either backend.
+``experiment``/``sweep`` with ``--url`` enqueue any missing points, wait for
+workers to drain the queue and fold the results in expansion order --
+output is byte-identical to a local ``--workers N`` run.  With
+``--state-dir`` the coordinator journals its queue and results to disk and
+a restarted coordinator (even after ``kill -9``) picks up where it stopped.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from repro.runner import (
     Sweep,
     available_scenarios,
     build_scenario,
-    make_backend,
 )
 from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
@@ -123,27 +119,13 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="export destination (default: <figure>.<format> in the working directory)",
     )
     parser.add_argument(
-        "--distributed",
-        action="store_true",
-        help=(
-            "run through a shared work queue instead of a local process pool "
-            "(requires --queue-dir or --url; points are executed by "
-            "`repro-lb worker` processes draining that queue)"
-        ),
-    )
-    parser.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="work-queue directory for --distributed (implies --distributed)",
-    )
-    parser.add_argument(
         "--url",
         default=None,
         metavar="URL",
         help=(
-            "`repro-lb serve` coordinator URL (implies --distributed; wins "
-            "over --queue-dir when both are given)"
+            "run through a `repro-lb serve` coordinator instead of a local "
+            "process pool (points are executed by `repro-lb worker` processes "
+            "draining its queue)"
         ),
     )
     parser.add_argument(
@@ -159,7 +141,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "distributed only: attempts per newly enqueued task before it is "
+            "with --url only: attempts per newly enqueued task before it is "
             "marked failed (default 3; match the value used at dispatch time)"
         ),
     )
@@ -297,14 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     dispatch = sub.add_parser(
         "dispatch",
-        help="shard a scenario into durable work-queue tasks (no execution)",
+        help="enqueue a scenario's points on a coordinator (no execution)",
     )
     dispatch.add_argument("figure", choices=available_scenarios(),
-                          help="registered scenario to shard")
-    dispatch.add_argument("--queue-dir", default=None, metavar="DIR",
-                          help="work-queue directory (shared across worker hosts)")
-    dispatch.add_argument("--url", default=None, metavar="URL",
-                          help="`repro-lb serve` coordinator URL (instead of --queue-dir)")
+                          help="registered scenario to enqueue")
+    dispatch.add_argument("--url", required=True, metavar="URL",
+                          help="`repro-lb serve` coordinator URL")
     dispatch.add_argument("--joins", type=int, default=None, help="measured joins per point")
     dispatch.add_argument("--sizes", type=int, nargs="*", default=None, help="system sizes")
     dispatch.add_argument("--time-limit", type=float, default=None,
@@ -316,25 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="claim and execute work-queue tasks until the queue drains",
+        help="claim and execute a coordinator's tasks until its queue drains",
     )
-    worker.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="work-queue directory to drain")
-    worker.add_argument("--backend", choices=("fs", "http"), default=None,
-                        help=(
-                            "queue backend kind (inferred from --queue-dir/--url "
-                            "when omitted)"
-                        ))
-    worker.add_argument("--url", default=None, metavar="URL",
-                        help="`repro-lb serve` coordinator URL (for --backend http)")
+    worker.add_argument("--url", required=True, metavar="URL",
+                        help="`repro-lb serve` coordinator URL")
     worker.add_argument("--max-tasks", type=_replicate_count, default=None, metavar="N",
                         help="exit after claiming at most N tasks (default: drain)")
     worker.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
                         help="sleep between claim attempts when nothing is claimable")
-    worker.add_argument("--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-                        metavar="SECONDS",
-                        help="lease/heartbeat timeout (default %(default)g; must "
-                             "match the other participants of this queue)")
     worker.add_argument("--worker-id", default=None,
                         help="stable worker name for leases/logs (default: host-pid)")
 
@@ -362,22 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also dump the raw pstats data to PATH "
                               "(inspect with python -m pstats)")
 
-    status = sub.add_parser("status", help="summarise a work queue's task states")
-    status.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="work-queue directory to inspect")
-    status.add_argument("--url", default=None, metavar="URL",
-                        help="`repro-lb serve` coordinator URL (instead of --queue-dir)")
-    status.add_argument("--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-                        metavar="SECONDS",
-                        help="lease timeout used to classify running vs stale leases")
+    status = sub.add_parser("status", help="summarise a coordinator's task states")
+    status.add_argument("--url", required=True, metavar="URL",
+                        help="`repro-lb serve` coordinator URL")
     status.add_argument("--json", action="store_true",
                         help="print machine-readable JSON instead of the text summary")
 
     serve = sub.add_parser(
         "serve",
         help=(
-            "run the HTTP coordinator: an in-memory work queue + result store "
-            "with /sweeps submission and a Prometheus /metrics endpoint"
+            "run the HTTP coordinator: the work queue + result store with "
+            "/sweeps submission and a Prometheus /metrics endpoint"
         ),
     )
     serve.add_argument("--host", default="127.0.0.1",
@@ -389,6 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lease/heartbeat timeout handed to connecting workers")
     serve.add_argument("--max-retries", type=_replicate_count, default=3, metavar="N",
                        help="attempts per task before it is marked failed")
+    serve.add_argument("--state-dir", default=None, metavar="DIR",
+                       help=(
+                           "keep the queue durable: journal every state change to "
+                           "DIR/journal.jsonl and every result to DIR/results/, and "
+                           "replay them on start (default: memory only)"
+                       ))
     return parser
 
 
@@ -469,7 +439,7 @@ def _print_spec_result(spec: ScenarioSpec, runner: ParallelRunner,
 def _experiment_spec(args: argparse.Namespace) -> ScenarioSpec:
     """Build a registered scenario's spec from experiment/dispatch axes.
 
-    ``dispatch`` and ``experiment --distributed`` must expand identical
+    ``dispatch`` and ``experiment --url`` must expand identical
     point sets for the same axes, so both go through this one builder.
     """
     kwargs = {}
@@ -544,28 +514,9 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _queue_target(args: argparse.Namespace, *, flag_hint: str) -> str:
-    """Resolve a subcommand's queue target (URL wins over directory)."""
-    backend = getattr(args, "backend", None)
-    url = getattr(args, "url", None)
-    queue_dir = getattr(args, "queue_dir", None)
-    if backend == "http" and url is None:
-        raise SystemExit("--backend http requires --url URL")
-    if backend == "fs" and queue_dir is None:
-        raise SystemExit("--backend fs requires --queue-dir DIR")
-    if backend == "fs":
-        return queue_dir
-    if url is not None:
-        return url
-    if queue_dir is not None:
-        return queue_dir
-    raise SystemExit(f"{flag_hint} requires --queue-dir DIR or --url URL")
-
-
 def _run_dispatch(args: argparse.Namespace) -> int:
     from repro.runner import DistributedRunner
 
-    target = _queue_target(args, flag_hint="dispatch")
     spec = _experiment_spec(args)
     if args.replicates > 1:
         spec = spec.with_replicates(args.replicates)
@@ -576,22 +527,21 @@ def _run_dispatch(args: argparse.Namespace) -> int:
     if not points:
         print(f"scenario {spec.name!r} has no simulation points to dispatch")
         return 0
-    runner = DistributedRunner(target, max_attempts=args.max_retries)
+    runner = DistributedRunner(args.url, max_attempts=args.max_retries)
     summary = runner.dispatch(points)
     print(
         f"queue {runner.queue.describe()}: {summary.enqueued} task(s) enqueued, "
         f"{summary.already_queued} already queued, {summary.already_done} already done "
         f"({len(points)} point(s), {summary.total} unique task(s))"
     )
-    drain_flag = "--url" if str(target).startswith(("http://", "https://")) else "--queue-dir"
-    print(f"drain with: repro-lb worker {drain_flag} {target}", file=sys.stderr)
+    print(f"drain with: repro-lb worker --url {args.url}", file=sys.stderr)
     return 0
 
 
 def _run_worker(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.runner import Worker
+    from repro.runner import HttpBackend, Worker
 
     def terminate(signum, frame):
         # Raise through the worker loop so the current lease is released
@@ -599,8 +549,7 @@ def _run_worker(args: argparse.Namespace) -> int:
         raise SystemExit(128 + signum)
 
     signal.signal(signal.SIGTERM, terminate)
-    target = _queue_target(args, flag_hint="worker")
-    queue = make_backend(target, lease_seconds=args.lease)
+    queue = HttpBackend(args.url)
     worker = Worker(queue, worker_id=args.worker_id, poll_interval=args.poll)
     print(f"worker {worker.worker_id}: draining {queue.describe()}", file=sys.stderr)
     stats = worker.run(max_tasks=args.max_tasks)
@@ -614,8 +563,9 @@ def _run_worker(args: argparse.Namespace) -> int:
 def _run_status(args: argparse.Namespace) -> int:
     import json as json_module
 
-    target = _queue_target(args, flag_hint="status")
-    queue = make_backend(target, lease_seconds=args.lease)
+    from repro.runner import HttpBackend
+
+    queue = HttpBackend(args.url)
     status = queue.status()
     if args.json:
         print(json_module.dumps(status.to_dict(), indent=2, sort_keys=True))
@@ -629,7 +579,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import Coordinator
     from repro.service.coordinator import DEFAULT_PORT
 
-    coordinator = Coordinator(lease_seconds=args.lease, max_attempts=args.max_retries)
+    try:
+        coordinator = Coordinator(
+            lease_seconds=args.lease, max_attempts=args.max_retries, state_dir=args.state_dir
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro-lb serve: {exc}") from None
     port = DEFAULT_PORT if args.port is None else args.port
     try:
         coordinator.serve_forever(host=args.host, port=port)

@@ -15,25 +15,18 @@ The experiment layer is split into three pieces:
   optional on-disk :class:`~repro.runner.cache.ResultCache`.
 * :mod:`repro.runner.backends` / :mod:`repro.runner.worker` /
   :mod:`repro.runner.distributed` -- the multi-host layer: the
-  :class:`~repro.runner.backends.base.QueueBackend` protocol with
-  filesystem, in-memory and HTTP-coordinator implementations, the
-  :class:`~repro.runner.worker.Worker` daemon that claims and executes
-  tasks over any of them, and the
-  :class:`~repro.runner.distributed.DistributedRunner` coordinator that
-  enqueues a spec and folds the results in expansion order.
+  coordinator's queue (in memory, journaled with ``--state-dir``) and its
+  HTTP client, the :class:`~repro.runner.worker.Worker` daemon that claims
+  and executes tasks through that client, and the
+  :class:`~repro.runner.distributed.DistributedRunner` that enqueues a
+  spec on the coordinator and folds the results in expansion order.
 
 :class:`~repro.runner.config.RunnerConfig` is the single construction path
 from user-facing options (CLI flags, test fixtures, figure wrappers) to the
 serial / process-pool / distributed runner they describe.
 """
 
-from repro.runner.backends import (
-    FilesystemBackend,
-    HttpBackend,
-    MemoryBackend,
-    QueueBackend,
-    make_backend,
-)
+from repro.runner.backends import HttpBackend, MemoryBackend
 from repro.runner.cache import ResultCache, default_cache_dir, point_key
 from repro.runner.config import RunnerConfig
 from repro.runner.distributed import DistributedRunner
@@ -61,13 +54,11 @@ from repro.runner.worker import Worker, WorkerStats
 
 __all__ = [
     "DistributedRunner",
-    "FilesystemBackend",
     "HttpBackend",
     "MemoryBackend",
     "ParallelRunner",
     "PointExecutionError",
     "PointSpec",
-    "QueueBackend",
     "ResultCache",
     "RunnerConfig",
     "ScenarioSpec",
@@ -82,7 +73,6 @@ __all__ = [
     "execute_point_checked",
     "expand",
     "get_scenario",
-    "make_backend",
     "point_from_payload",
     "point_key",
     "register_scenario",

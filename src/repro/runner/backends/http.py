@@ -1,19 +1,17 @@
-"""HTTP :class:`~repro.runner.backends.base.QueueBackend`: a coordinator client.
+"""HTTP client of the ``repro-lb serve`` coordinator: the only way to a queue.
 
-Workers and dispatching clients on any machine talk to one ``repro-lb
-serve`` coordinator (see :mod:`repro.service.coordinator`) over plain JSON
-HTTP -- no shared mount required.  The client implements the protocol
-primitives as single round trips and overrides the scan-shaped operations
-(``claim_next``, ``status``, ``poll_finished``) with their server-side
-endpoints, so a claim is one request instead of one per task.
+Workers and dispatching clients on any machine talk to one coordinator
+(see :mod:`repro.service.coordinator`) over plain JSON HTTP -- no shared
+mount required.  Every operation is one round trip; the scan-shaped ones
+(``claim_next``, ``status``, ``poll_finished``) run on the coordinator, so
+a claim is one request instead of one per task.
 
 Transport notes:
 
 * everything uses :mod:`urllib.request`; transport failures surface as
   :class:`urllib.error.URLError`, which subclasses :class:`OSError` --
   exactly what the worker's heartbeat thread already tolerates, so a
-  worker rides out a coordinator restart the same way it rides out a
-  flaky mount;
+  running worker rides out a short coordinator restart;
 * ``lease_seconds`` is fetched from ``GET /config`` at construction, so
   every participant of one queue agrees on the lease without repeating it
   on the command line (and a bad URL fails fast, before a worker loop
@@ -37,9 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.metrics.timeline import TimelineWindow
 from repro.runner.backends.base import (
     DEFAULT_MAX_ATTEMPTS,
-    ClaimedTask,
     EnqueueSummary,
-    QueueBackend,
     QueueStatus,
     TaskRecord,
 )
@@ -78,6 +74,15 @@ def _retryable(exc: BaseException) -> bool:
     return isinstance(exc, OSError)  # URLError subclasses OSError
 
 
+def _task_record(payload: Dict[str, object]) -> TaskRecord:
+    return TaskRecord(
+        task_id=str(payload["task_id"]),
+        point=point_from_payload(payload["point"]),
+        max_attempts=int(payload.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
+        enqueued_at=float(payload.get("enqueued_at", 0.0)),
+    )
+
+
 class _RemoteResults:
     """Result-store adapter over ``GET /results`` / ``POST /complete``-free puts.
 
@@ -107,15 +112,14 @@ class _RemoteResults:
         return SimulationResult.from_dict(payload["result"])
 
     def put(self, point: PointSpec, result: SimulationResult) -> str:
-        # A direct put (outside the claim protocol) completes the task: the
-        # coordinator marks stored-result tasks done exactly like the
-        # filesystem backend's enqueue-time preseeding.
+        # A direct put (outside the claim protocol) completes the task; a
+        # later enqueue of the point finds it done.
         self._backend.complete(self.key(point), point, result, worker="put")
         return self.key(point)
 
 
-class HttpBackend(QueueBackend):
-    """Queue backend speaking to a ``repro-lb serve`` coordinator."""
+class HttpBackend:
+    """Client of a ``repro-lb serve`` coordinator's queue."""
 
     def __init__(
         self,
@@ -138,6 +142,10 @@ class HttpBackend(QueueBackend):
 
     def describe(self) -> str:
         return self.base_url
+
+    def task_id(self, point: PointSpec) -> str:
+        """A point's task id: its (host-independent) result-cache key."""
+        return point_key(point)
 
     # -- transport -----------------------------------------------------------------
     def _call(
@@ -192,7 +200,7 @@ class HttpBackend(QueueBackend):
     def _get(self, path: str) -> Optional[dict]:
         return self._call("GET", path)
 
-    # -- protocol primitives -------------------------------------------------------
+    # -- queue operations ----------------------------------------------------------
     def enqueue(
         self, points: Sequence[PointSpec], max_attempts: int = DEFAULT_MAX_ATTEMPTS
     ) -> EnqueueSummary:
@@ -220,19 +228,9 @@ class HttpBackend(QueueBackend):
         return [str(task_id) for task_id in response.get("task_ids", [])]
 
     def load_task(self, task_id: str) -> Optional[TaskRecord]:
+        """The task's record, or ``None`` when the coordinator has none."""
         payload = self._get(f"/tasks/{task_id}")
-        if payload is None:
-            return None
-        try:
-            point = point_from_payload(payload["point"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        return TaskRecord(
-            task_id=str(payload.get("task_id", task_id)),
-            point=point,
-            max_attempts=int(payload.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
-            enqueued_at=float(payload.get("enqueued_at", 0.0)),
-        )
+        return None if payload is None else _task_record(payload)
 
     def _state(self, task_id: str) -> Dict[str, object]:
         return self._get(f"/tasks/{task_id}/state") or {}
@@ -247,7 +245,7 @@ class HttpBackend(QueueBackend):
         error = self._state(task_id).get("last_error")
         return None if error is None else str(error)
 
-    def lease_state(self, task_id: str, now: Optional[float] = None) -> Optional[str]:
+    def lease_state(self, task_id: str) -> Optional[str]:
         lease = self._state(task_id).get("lease")
         return None if lease is None else str(lease)
 
@@ -273,13 +271,10 @@ class HttpBackend(QueueBackend):
     def claim_next(
         self,
         worker: str,
-        finished: Optional[set] = None,
         host: Optional[str] = None,
         pid: Optional[int] = None,
-    ) -> Optional[ClaimedTask]:
-        # One round trip: the coordinator runs the claim scan server-side
-        # (the ``finished`` memo is a local-scan optimisation; the server
-        # skips terminal tasks itself).
+    ) -> Optional[TaskRecord]:
+        """Claim the first runnable task (the coordinator runs the scan)."""
         response = self._call(
             "POST",
             "/claim",
@@ -290,16 +285,7 @@ class HttpBackend(QueueBackend):
             },
         )
         payload = (response or {}).get("task")
-        if payload is None:
-            return None
-        return ClaimedTask(
-            record=TaskRecord(
-                task_id=str(payload["task_id"]),
-                point=point_from_payload(payload["point"]),
-                max_attempts=int(payload.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
-                enqueued_at=float(payload.get("enqueued_at", 0.0)),
-            )
-        )
+        return None if payload is None else _task_record(payload)
 
     def heartbeat(self, task_id: str, worker: str) -> bool:
         response = self._call(
@@ -317,13 +303,6 @@ class HttpBackend(QueueBackend):
 
     def release(self, task_id: str, worker: Optional[str] = None) -> None:
         self._call("POST", "/release", {"task_id": task_id, "worker": worker})
-
-    def mark_done(self, task_id: str, worker: str, attempts: int) -> None:
-        self._call(
-            "POST",
-            "/complete",
-            {"task_id": task_id, "point": None, "result": None, "worker": worker},
-        )
 
     def complete(
         self,
@@ -354,7 +333,7 @@ class HttpBackend(QueueBackend):
     def load_result(self, point: PointSpec) -> Optional[SimulationResult]:
         return self._results.get(point)
 
-    # -- scan-shaped overrides -----------------------------------------------------
+    # -- scans run by the coordinator ----------------------------------------------
     def status(self, task_ids=None) -> QueueStatus:
         response = self._call(
             "POST",

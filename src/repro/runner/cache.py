@@ -62,10 +62,9 @@ def write_json_atomic(path: Path, payload: dict) -> None:
 def point_key(point: PointSpec) -> str:
     """The host-independent cache/task key of a simulation point.
 
-    Every result store and every queue backend -- filesystem, in-memory,
-    HTTP -- addresses a point by this key, so a task id computed by a
-    dispatching client names the same work on the coordinator and the same
-    result file in a shared cache.
+    Every result store and the coordinator's queue address a point by this
+    key, so a task id computed by a dispatching client names the same work
+    on the coordinator and the same result file in a shared cache.
     """
     payload = {"version": CACHE_FORMAT_VERSION, "point": point.cache_payload()}
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -108,6 +107,10 @@ class ResultCache:
         return result
 
     def put(self, point: PointSpec, result: SimulationResult) -> Path:
+        return self.put_payload(point, result.to_dict())
+
+    def put_payload(self, point: PointSpec, result: dict) -> Path:
+        """Store a result given as its ``to_dict()`` payload."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(point)
         payload = {
@@ -116,7 +119,7 @@ class ResultCache:
             "figure": point.figure,
             "series": point.series,
             "x": point.x,
-            "result": result.to_dict(),
+            "result": result,
         }
         write_json_atomic(path, payload)
         return path

@@ -1,16 +1,15 @@
 """`RunnerConfig`: the single construction path for every runner kind.
 
 The CLI grew its runner options one PR at a time --
-``--workers/--no-cache/--cache-dir/--distributed/--queue-dir/
---queue-timeout/--max-retries`` and now ``--url`` -- and each consumer
-(CLI subcommands, tests, figure wrappers) re-encoded the
-same "which runner do these flags mean?" decision tree.  This dataclass
+``--workers/--no-cache/--cache-dir/--url/--queue-timeout/--max-retries``
+-- and each consumer (CLI subcommands, tests, figure wrappers) re-encoded
+the same "which runner do these flags mean?" decision tree.  This dataclass
 is that decision tree, once: build a config (directly, or from parsed CLI
 args via :meth:`from_args`), then :meth:`make_runner` yields the serial /
 process-pool / distributed runner it describes.
 
-Precedence: a queue target (``url`` wins over ``queue_dir``) selects a
-:class:`~repro.runner.distributed.DistributedRunner` whose backend owns
+A coordinator ``url`` selects a
+:class:`~repro.runner.distributed.DistributedRunner` whose coordinator owns
 the result store (the local cache settings are meaningless there --
 :meth:`from_args` warns when they are set); otherwise a local
 :class:`~repro.runner.runner.ParallelRunner` over ``workers`` processes
@@ -23,8 +22,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
-
-from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
 
 if TYPE_CHECKING:
     import argparse
@@ -50,48 +47,28 @@ class RunnerConfig:
     cache_dir: Optional[Union[str, "os.PathLike"]] = None
     #: Pre-built cache object (tests); overrides ``no_cache``/``cache_dir``.
     cache: Optional["ResultCache"] = None
-    #: Filesystem queue directory (selects a distributed runner).
-    queue_dir: Optional[Union[str, "os.PathLike"]] = None
-    #: Coordinator URL (selects a distributed runner over HTTP; wins over
-    #: ``queue_dir`` when both are set).
+    #: ``repro-lb serve`` coordinator URL (selects a distributed runner).
     url: Optional[str] = None
     #: Give up waiting for workers after this long (``None`` = forever).
     queue_timeout: Optional[float] = None
-    #: Attempts per newly enqueued task (``None`` = backend default of 3).
+    #: Attempts per newly enqueued task (``None`` = the default of 3).
     max_retries: Optional[int] = None
-    #: Lease/heartbeat timeout for filesystem queues (HTTP backends take
-    #: the coordinator's value).
-    lease_seconds: float = DEFAULT_LEASE_SECONDS
     #: Floor of the distributed wait loop's backoff.
     poll_interval: float = 0.5
-
-    @property
-    def distributed(self) -> bool:
-        return self.url is not None or self.queue_dir is not None
-
-    @property
-    def queue_target(self) -> Union[str, "os.PathLike", None]:
-        """The backend locator (URL wins over directory), if any."""
-        return self.url if self.url is not None else self.queue_dir
 
     @classmethod
     def from_args(cls, args: "argparse.Namespace") -> "RunnerConfig":
         """Build from parsed CLI flags (the ``_add_runner_arguments`` set).
 
-        Validates the flag combinations the old decision tree enforced:
-        ``--distributed`` without a queue target is an error, and cache
-        flags are warned about (and ignored) on distributed runs, whose
-        results live in the backend's own store.
+        Cache flags are warned about (and ignored) on distributed runs,
+        whose results live in the coordinator's own store.
         """
         url = getattr(args, "url", None)
-        queue_dir = getattr(args, "queue_dir", None)
-        if getattr(args, "distributed", False) and url is None and queue_dir is None:
-            raise SystemExit("--distributed requires --queue-dir DIR or --url URL")
-        if (url is not None or queue_dir is not None) and (
+        if url is not None and (
             getattr(args, "no_cache", False) or getattr(args, "cache_dir", None)
         ):
             print(
-                "note: distributed runs keep results in the queue's own store; "
+                "note: distributed runs keep results in the coordinator's store; "
                 "--no-cache/--cache-dir are ignored",
                 file=sys.stderr,
             )
@@ -99,26 +76,20 @@ class RunnerConfig:
             workers=getattr(args, "workers", 1),
             no_cache=getattr(args, "no_cache", False),
             cache_dir=getattr(args, "cache_dir", None),
-            queue_dir=queue_dir,
             url=url,
             queue_timeout=getattr(args, "queue_timeout", None),
             max_retries=getattr(args, "max_retries", None),
-            lease_seconds=getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS,
         )
 
     def make_runner(self) -> "ParallelRunner":
         """The execution driver this config describes."""
-        if self.distributed:
+        if self.url is not None:
             from repro.runner.distributed import DistributedRunner
 
-            kwargs = {
-                "timeout": self.queue_timeout,
-                "poll_interval": self.poll_interval,
-                "lease_seconds": self.lease_seconds,
-            }
+            kwargs = {"timeout": self.queue_timeout, "poll_interval": self.poll_interval}
             if self.max_retries is not None:
                 kwargs["max_attempts"] = self.max_retries
-            return DistributedRunner(self.queue_target, **kwargs)
+            return DistributedRunner(self.url, **kwargs)
         from repro.runner.runner import ParallelRunner
 
         if self.cache is not None:

@@ -1,36 +1,33 @@
-"""Distributed sweep coordinator: enqueue, wait, fold.
+"""Distributed sweeps: enqueue on the coordinator, wait, fold.
 
 :class:`DistributedRunner` is a drop-in replacement for
 :class:`~repro.runner.runner.ParallelRunner` whose ``run_points`` ships the
-work through a :class:`~repro.runner.backends.base.QueueBackend` instead of
-a local process pool: it enqueues every not-yet-finished point as a durable
-task, waits for independent worker processes (``repro-lb worker``, on this
-or any host sharing the queue directory or coordinator URL) to drain the
-queue, and folds the stored results back **in expansion order** -- so
-tables, aggregates and exports are byte-identical to a local run of the
-same spec at any worker count, over any backend.
+work to a ``repro-lb serve`` coordinator instead of a local process pool:
+it enqueues every not-yet-finished point as a task, waits for independent
+worker processes (``repro-lb worker --url``, on any host that reaches the
+coordinator) to drain the queue, and folds the stored results back **in
+expansion order** -- so tables, aggregates and exports are byte-identical
+to a local run of the same spec at any worker count.
 
-The coordinator is resumable by construction: enqueueing skips tasks that
-are already done, and results live in the backend's result store keyed by
-the host-independent cache key, so re-running an interrupted coordinator
-(or re-dispatching the same scenario) only waits for the points that are
-still missing.  The wait loop polls with capped exponential backoff (see
-:meth:`QueueBackend.wait`), so an idle coordinator does not hammer a shared
-mount or a remote coordinator while workers grind through long points.
+The runner is resumable by construction: enqueueing skips tasks that are
+already done, and results live in the coordinator's result store keyed by
+the host-independent cache key, so re-running an interrupted client (or
+re-dispatching the same scenario) only waits for the points that are still
+missing.  The wait loop polls with capped exponential backoff (see
+:func:`~repro.runner.backends.base.wait_for_tasks`), so an idle client does
+not hammer the coordinator while workers grind through long points.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.runner.backends import make_backend
 from repro.runner.backends.base import (
-    DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
     EnqueueSummary,
-    QueueBackend,
+    wait_for_tasks,
 )
+from repro.runner.backends.http import HttpBackend
 from repro.runner.runner import ParallelRunner, PointExecutionError
 from repro.runner.spec import PointSpec
 from repro.simulation.results import SimulationResult
@@ -39,28 +36,26 @@ __all__ = ["DistributedRunner"]
 
 
 class DistributedRunner(ParallelRunner):
-    """Runs scenario points through a shared work queue.
+    """Runs scenario points through a coordinator's work queue.
 
     Inherits ``run``/``run_aggregated`` (spec expansion, result folding,
     aggregation) from :class:`ParallelRunner`; only point execution is
-    replaced.  The first argument names the backend: an existing
-    :class:`QueueBackend`, an ``http(s)://`` coordinator URL, or a queue
-    directory.  ``timeout=None`` waits indefinitely -- pass a bound when no
-    worker may be running (e.g. in CI) so a dead queue fails loudly instead
-    of hanging.
+    replaced.  The first argument is the coordinator's URL (or a client of
+    it).  ``timeout=None`` waits indefinitely -- pass a bound when no worker
+    may be running (e.g. in CI) so a dead queue fails loudly instead of
+    hanging.
     """
 
     def __init__(
         self,
-        queue_dir: Union[str, Path, QueueBackend],
+        url: Union[str, HttpBackend],
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         poll_interval: float = 0.5,
         timeout: Optional[float] = None,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ):
-        # The backend's result store doubles as this runner's cache, so
+        queue = url if isinstance(url, HttpBackend) else HttpBackend(url)
+        # The coordinator's result store doubles as this runner's cache, so
         # `run` inherits hit/miss accounting and any pre-seeded results.
-        queue = make_backend(queue_dir, lease_seconds=lease_seconds)
         super().__init__(workers=1, cache=queue.results)
         self.queue = queue
         self.max_attempts = max_attempts
@@ -78,19 +73,31 @@ class DistributedRunner(ParallelRunner):
         """Enqueue, wait for workers, and collect results in input order."""
         self.dispatch(points)
         task_ids = [self.queue.task_id(point) for point in points]
-        self.queue.wait(
-            set(task_ids), poll_interval=self.poll_interval, timeout=self.timeout
+        wait_for_tasks(
+            self.queue, set(task_ids), poll_interval=self.poll_interval, timeout=self.timeout
         )
         for point, task_id in zip(points, task_ids):
-            if not self.queue.is_done(task_id):
-                error = self.queue.last_error(task_id) or "failed on a worker"
+            if self.queue.is_done(task_id):
+                continue
+            if self.queue.load_task(task_id) is None:
+                # The coordinator lost the task it accepted: it restarted
+                # without a state directory.
                 raise PointExecutionError(
                     point,
                     RuntimeError(
-                        f"task {task_id} exhausted its retry budget "
-                        f"({self.queue.attempts(task_id)} attempt(s)): {error}"
+                        f"the coordinator at {self.queue.describe()} has no record of "
+                        f"task {task_id}; it probably restarted without --state-dir "
+                        "(restart it with --state-dir DIR to keep its queue)"
                     ),
                 )
+            error = self.queue.last_error(task_id) or "failed on a worker"
+            raise PointExecutionError(
+                point,
+                RuntimeError(
+                    f"task {task_id} exhausted its retry budget "
+                    f"({self.queue.attempts(task_id)} attempt(s)): {error}"
+                ),
+            )
         results: List[SimulationResult] = []
         for point, task_id in zip(points, task_ids):
             result = self.queue.load_result(point)

@@ -490,7 +490,7 @@ def point_from_payload(payload) -> PointSpec:
     JSON round-trips turn the tuple-valued fields into (nested) lists;
     turning them back keeps rebuilt points equal to the originals (and
     hashable by the result cache with byte-identical keys).  Payloads can
-    arrive from outside the program (``POST /sweeps``, queue files), so an
+    arrive from outside the program (``POST /sweeps``, the journal), so an
     unknown kind or scenario and a non-integer size, seed or replicate index
     raise :class:`ValueError` naming the field.
     """

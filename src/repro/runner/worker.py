@@ -1,31 +1,29 @@
 """Work-queue worker daemon.
 
-A :class:`Worker` drains any :class:`~repro.runner.backends.base.QueueBackend`
--- the shared-directory filesystem queue, or an HTTP coordinator reached
-with ``--backend http --url`` -- and is oblivious to the transport: it
-atomically claims one task at a time, executes the point through the same
+A :class:`Worker` drains a ``repro-lb serve`` coordinator's queue through
+its :class:`~repro.runner.backends.http.HttpBackend` client: it claims one
+task at a time, executes the point through the same
 ``execute_point``/``to_dict`` path as :class:`~repro.runner.runner.ParallelRunner`
-(so results are bit-identical no matter which driver ran them), stores the
-result in the queue's result store and marks the task done.
+(so results are bit-identical no matter which driver ran them), hands the
+result to the coordinator and so marks the task done.
 
 While a task runs, a daemon thread refreshes the lease heartbeat every
 ``lease_seconds / 4`` and then reports the timeline windows the run closed
-since its last report (``QueueBackend.report_windows``), so a coordinator
-shows a long point's windows before the point finishes.  If the worker
-dies, its lease goes stale and another worker reclaims the task
-(immediately when the dead worker lived on the same host, after the lease
-timeout otherwise).  A task that raises consumes one unit of its retry
-budget and is released for another attempt; once the budget is exhausted
-the queue reports it as failed.
+since its last report (``report_windows``), so the coordinator shows a long
+point's windows before the point finishes.  If the worker dies, its lease
+goes stale and another worker reclaims the task (immediately when the dead
+worker lived on the coordinator's host, after the lease timeout otherwise).
+A task that raises consumes one unit of its retry budget and is released
+for another attempt; once the budget is exhausted the queue reports it as
+failed.
 
 Interruption (SIGTERM via the CLI handler, or Ctrl-C) releases the current
 lease without consuming a retry, so a killed worker's task is re-run -- not
 lost, and not double-counted -- by whoever claims it next.
 
-Transport errors and filesystem hiccups look alike here:
-:class:`urllib.error.URLError` subclasses :class:`OSError`, so the
-heartbeat thread rides out a coordinator restart exactly like a flaky
-shared mount.
+Transport errors are :class:`urllib.error.URLError`, an :class:`OSError`:
+the heartbeat thread rides them out, so a running point survives a short
+coordinator restart.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.metrics.timeline import TimelineWindow, live_windows
-from repro.runner.backends.base import ClaimedTask, QueueBackend
+from repro.runner.backends.base import TaskRecord
+from repro.runner.backends.http import HttpBackend
 from repro.runner.runner import PointExecutionError, execute_point_checked
 from repro.simulation.results import SimulationResult
 
@@ -61,7 +60,7 @@ class WorkerStats:
 class _Heartbeat(threading.Thread):
     """Refreshes one task's lease and reports its closed windows until stopped."""
 
-    def __init__(self, queue: QueueBackend, task_id: str, worker_id: str, interval: float):
+    def __init__(self, queue: HttpBackend, task_id: str, worker_id: str, interval: float):
         super().__init__(name=f"heartbeat-{task_id[:8]}", daemon=True)
         self._queue = queue
         self._task_id = task_id
@@ -83,7 +82,7 @@ class _Heartbeat(threading.Thread):
                     self._queue.report_windows(self._task_id, self._worker_id, reported, closed)
                     reported += len(closed)
             except OSError:
-                pass  # transient FS hiccup: try again next interval
+                pass  # coordinator unreachable: try again next interval
 
     def stop(self) -> None:
         self._halt.set()
@@ -95,7 +94,7 @@ class Worker:
 
     def __init__(
         self,
-        queue: QueueBackend,
+        queue: HttpBackend,
         worker_id: Optional[str] = None,
         poll_interval: float = 0.5,
     ):
@@ -116,27 +115,17 @@ class Worker:
         if max_tasks is not None and max_tasks < 1:
             raise ValueError(f"max_tasks must be >= 1, got {max_tasks}")
         stats = WorkerStats()
-        # Memo of terminal task ids, filled in by claim_next's scans: repeat
-        # scans of a large queue skip the finished tasks instead of
-        # re-reading every record, and the drain check below is a cheap
-        # directory listing against the memo instead of a full status scan.
-        finished: set = set()
         while max_tasks is None or stats.claimed < max_tasks:
-            claimed = self.queue.claim_next(self.worker_id, finished)
+            claimed = self.queue.claim_next(self.worker_id)
             if claimed is None:
-                # Drained when every task is done or failed.  The memo is the
-                # cheap local-scan check; backends that claim server-side
-                # (HTTP) never fill it, so fall back to one status probe.
-                if len(finished) >= len(self.queue.task_ids()):
-                    break
                 if self.queue.status().unfinished == 0:
-                    break
+                    break  # every task is done or failed
                 time.sleep(self.poll_interval)
                 continue
             self._run_claimed(claimed, stats)
         return stats
 
-    def _run_claimed(self, task: ClaimedTask, stats: WorkerStats) -> None:
+    def _run_claimed(self, task: TaskRecord, stats: WorkerStats) -> None:
         task_id = task.task_id
         cached = self.queue.load_result(task.point)
         if cached is not None:

@@ -1,11 +1,17 @@
-"""The ``repro-lb serve`` coordinator: an HTTP face on the in-memory queue.
+"""The ``repro-lb serve`` coordinator: an HTTP face on the one work queue.
 
 A single long-lived process (stdlib ``http.server``, threaded) holds a
 :class:`~repro.runner.backends.memory.MemoryBackend` -- task records,
-leases, retry ledgers and the result store all in process memory -- and
-exposes the full :class:`~repro.runner.backends.base.QueueBackend` surface
-over JSON endpoints, so workers on any machine drain sweeps through
-:class:`~repro.runner.backends.http.HttpBackend` without a shared mount.
+leases, retry ledgers and the result store, all served from process
+memory -- and exposes it over JSON endpoints, so workers on any machine
+drain sweeps through :class:`~repro.runner.backends.http.HttpBackend`
+without a shared mount.
+
+With ``state_dir`` (``repro-lb serve --state-dir DIR``) the queue journals
+every state change and stores every result under that directory, and a
+restarted coordinator replays them: tasks, leases, failures and results
+survive a restart (even ``kill -9``), while the window gauges, worker
+liveness and counters below are soft state and start empty.
 
 Beyond the queue protocol the coordinator adds the service features:
 
@@ -27,7 +33,7 @@ Endpoints (JSON unless noted)::
     GET  /health               liveness probe
     GET  /config               lease/retry settings of this queue
     GET  /tasks                every task id
-    GET  /tasks/<id>           durable task record
+    GET  /tasks/<id>           task record
     GET  /tasks/<id>/state     done/attempts/last_error/lease of one task
     GET  /results/<id>         stored result payload
     GET  /metrics              Prometheus text format (0.0.4)
@@ -46,11 +52,12 @@ Endpoints (JSON unless noted)::
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.metrics.prometheus import MetricFamily, render_families
 from repro.runner.backends.base import (
@@ -59,6 +66,7 @@ from repro.runner.backends.base import (
     TaskRecord,
 )
 from repro.runner.backends.memory import MemoryBackend
+from repro.runner.cache import point_key
 from repro.runner.spec import PointSpec, point_from_payload
 
 __all__ = ["Coordinator", "DEFAULT_PORT"]
@@ -82,6 +90,16 @@ def _count_field(payload: Dict[str, object], name: str, default: int) -> int:
     return value
 
 
+def _task_ids(body: Dict[str, object], optional: bool = False) -> Optional[List[str]]:
+    """The ``task_ids`` list of a request body (``None`` when optional and absent)."""
+    value = body.get("task_ids")
+    if value is None and optional:
+        return None
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"'task_ids' must be a list of task id strings, got {value!r}")
+    return value
+
+
 def _record_payload(record: TaskRecord) -> Dict[str, object]:
     return {
         "task_id": record.task_id,
@@ -92,16 +110,22 @@ def _record_payload(record: TaskRecord) -> Dict[str, object]:
 
 
 class Coordinator:
-    """In-memory queue + metrics, served over HTTP."""
+    """The work queue + metrics, served over HTTP.
+
+    ``state_dir`` makes the queue durable; a journal found there is replayed
+    first, and an unreadable one raises :class:`ValueError` naming the line.
+    """
 
     def __init__(
         self,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        state_dir: Optional[Union[str, "os.PathLike"]] = None,
     ):
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.backend = MemoryBackend(lease_seconds=lease_seconds)
+        self.state_dir = state_dir
+        self.backend = MemoryBackend(lease_seconds=lease_seconds, state_dir=state_dir)
         self.max_attempts = int(max_attempts)
         self._lock = self.backend.lock
         self._workers: Dict[str, Dict[str, object]] = {}
@@ -144,7 +168,7 @@ class Coordinator:
         points = self._points_from_submission(payload, _count_field(payload, "replicates", 1))
         if not points:
             raise ValueError("sweep submission contains no points")
-        task_ids = [self.backend.task_id(point) for point in points]
+        task_ids = [point_key(point) for point in points]
         with self._lock:
             summary = self.backend.enqueue(points, max_attempts=max_attempts)
             self._counters["sweeps_submitted"] += 1
@@ -188,13 +212,7 @@ class Coordinator:
     ) -> None:
         """Store a finished task's result and fold it into the gauges."""
         with self._lock:
-            if result_payload is not None:
-                self.backend.complete_payload(task_id, result_payload, worker)
-            else:
-                self.backend.mark_done(
-                    task_id, worker, attempts=self.backend.attempts(task_id)
-                )
-                self.backend.release(task_id, worker)
+            self.backend.complete(task_id, worker, result_payload, point_payload)
             self._counters["results_received"] += 1
             timeline = (result_payload or {}).get("timeline")
             if timeline and point_payload:
@@ -360,6 +378,7 @@ class Coordinator:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.backend.close()
 
     def serve_forever(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> None:
         """Blocking serve loop for the CLI (Ctrl-C / SIGTERM to stop)."""
@@ -368,13 +387,16 @@ class Coordinator:
         bound_host, bound_port = server.server_address[:2]
         print(f"repro-lb coordinator serving on http://{bound_host}:{bound_port}", flush=True)
         print(
-            f"  lease={self.backend.lease_seconds:g}s retries={self.max_attempts}", flush=True
+            f"  lease={self.backend.lease_seconds:g}s retries={self.max_attempts} "
+            f"state={self.state_dir or 'memory only'}",
+            flush=True,
         )
         try:
             server.serve_forever()
         finally:
             server.server_close()
             self._server = None
+            self.backend.close()
 
 
 def _make_server(coordinator: Coordinator, host: str, port: int) -> ThreadingHTTPServer:
@@ -477,14 +499,8 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/claim":
                 worker = str(body["worker"])
                 coordinator.touch_worker(worker, body.get("host"), body.get("pid"))
-                claimed = backend.claim_next(
-                    worker,
-                    host=body.get("host"),
-                    pid=body.get("pid"),
-                )
-                self._json(
-                    {"task": _record_payload(claimed.record) if claimed else None}
-                )
+                record = backend.claim_next(worker, host=body.get("host"), pid=body.get("pid"))
+                self._json({"task": _record_payload(record) if record else None})
             elif path == "/try_claim":
                 worker = str(body["worker"])
                 coordinator.touch_worker(worker, body.get("host"), body.get("pid"))
@@ -530,12 +546,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 self._json({"attempts": attempts})
             elif path == "/status":
-                task_ids = body.get("task_ids")
-                status = backend.status(None if task_ids is None else list(task_ids))
-                self._json(status.to_dict())
+                self._json(backend.status(_task_ids(body, optional=True)).to_dict())
             elif path == "/poll":
-                task_ids = [str(task_id) for task_id in body.get("task_ids") or []]
-                self._json({"finished": sorted(backend.poll_finished(task_ids))})
+                self._json({"finished": sorted(backend.poll_finished(_task_ids(body)))})
             else:
                 self._error(404, f"unknown endpoint {path}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,10 +1,10 @@
-"""Backend-conformance suite: one contract, every ``QueueBackend``.
+"""Queue-contract suite: the coordinator's queue, seen through its client.
 
-Each test runs against the filesystem backend and (through a live
-in-process coordinator) the HTTP backend, pinning the semantics the worker
-daemon and the distributed runner rely on: exclusive claims, heartbeat
-expiry, immediate takeover from dead local processes, retry budgets,
-interrupt-safe lease release and resume-after-kill.
+Each test runs against a live in-process coordinator, once with the queue
+in memory only and once journaled to a state directory, pinning the
+semantics the worker daemon and the distributed runner rely on: exclusive
+claims, heartbeat expiry, immediate takeover from dead local processes,
+retry budgets, interrupt-safe lease release and resume-after-kill.
 """
 
 import socket
@@ -20,7 +20,7 @@ from repro.runner import (
     PointSpec,
     Worker,
 )
-from repro.runner.backends import FilesystemBackend, HttpBackend, make_backend
+from repro.runner.backends import HttpBackend, wait_for_tasks
 from repro.service import Coordinator
 
 
@@ -34,17 +34,17 @@ def make_point(**overrides) -> PointSpec:
 
 @pytest.fixture(params=["filesystem", "http"])
 def backend_factory(request, tmp_path):
-    """A factory yielding fresh conforming backends (one kind per run)."""
+    """A factory yielding clients of fresh coordinators, one kind per run:
+    ``filesystem`` journals the queue to a state directory (the durable
+    queue, since the shared-directory store was removed), ``http`` keeps it
+    in memory only."""
     coordinators = []
-    counter = [0]
 
     def make(lease_seconds: float = 60.0):
-        counter[0] += 1
+        state_dir = None
         if request.param == "filesystem":
-            return FilesystemBackend(
-                tmp_path / f"queue{counter[0]}", lease_seconds=lease_seconds
-            )
-        coordinator = Coordinator(lease_seconds=lease_seconds)
+            state_dir = tmp_path / f"state{len(coordinators)}"
+        coordinator = Coordinator(lease_seconds=lease_seconds, state_dir=state_dir)
         coordinators.append(coordinator)
         return HttpBackend(coordinator.start())
 
@@ -98,6 +98,7 @@ def test_claim_is_exclusive_until_released(backend_factory):
 
 def test_expired_heartbeat_is_stale_and_reclaimable(backend_factory):
     backend = backend_factory(lease_seconds=0.2)
+    assert backend.lease_seconds == 0.2  # agreed with the coordinator
     point = make_point()
     backend.enqueue([point])
     task_id = backend.task_id(point)
@@ -147,7 +148,8 @@ def test_retry_budget_is_consumed_and_terminal(backend_factory):
     stats = Worker(backend, worker_id="w1", poll_interval=0.02).run()
     assert stats.failed == 2 and stats.executed == 0
     task_id = backend.task_id(bad)
-    assert backend.is_failed(task_id)
+    assert backend.poll_finished([task_id]) == {task_id}
+    assert not backend.is_done(task_id)
     assert backend.attempts(task_id) == 2
     assert "NO-SUCH-STRATEGY" in (backend.last_error(task_id) or "")
     status = backend.status()
@@ -197,7 +199,7 @@ def test_wait_times_out_with_status_snapshot(backend_factory):
     point = make_point()
     backend.enqueue([point])
     with pytest.raises(TimeoutError) as excinfo:
-        backend.wait([backend.task_id(point)], poll_interval=0.02, timeout=0.2)
+        wait_for_tasks(backend, [backend.task_id(point)], poll_interval=0.02, timeout=0.2)
     message = str(excinfo.value)
     assert "unfinished" in message and backend.describe() in message
 
@@ -221,7 +223,8 @@ def test_wait_backs_off_exponentially_and_resets_on_progress(backend_factory, mo
             )
 
     monkeypatch.setattr("repro.runner.backends.base.time.sleep", fake_sleep)
-    backend.wait(
+    wait_for_tasks(
+        backend,
         [backend.task_id(done_point), backend.task_id(slow_point)],
         poll_interval=0.1,
         max_poll_interval=1.0,
@@ -232,7 +235,7 @@ def test_wait_backs_off_exponentially_and_resets_on_progress(backend_factory, mo
     assert sleeps[4] == 0.1
 
 
-# -- the distributed runner over any backend --------------------------------------
+# -- the distributed runner --------------------------------------------------------
 def test_distributed_runner_is_backend_agnostic(backend_factory):
     backend = backend_factory()
     points = [make_point(seed=1), make_point(seed=2)]
@@ -249,19 +252,6 @@ def test_distributed_runner_is_backend_agnostic(backend_factory):
     distributed = runner.run_points(points)
     thread.join(timeout=60.0)
     assert distributed == local
-
-
-def test_make_backend_resolves_targets(tmp_path):
-    filesystem = make_backend(tmp_path / "queue")
-    assert isinstance(filesystem, FilesystemBackend)
-    assert make_backend(filesystem) is filesystem
-    coordinator = Coordinator(lease_seconds=7.5)
-    try:
-        http = make_backend(coordinator.start())
-        assert isinstance(http, HttpBackend)
-        assert http.lease_seconds == 7.5  # agreed with the server, not the CLI
-    finally:
-        coordinator.stop()
 
 
 # -- HTTP transport retries --------------------------------------------------------

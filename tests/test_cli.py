@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import Coordinator
 
 
 def test_list_strategies(capsys):
@@ -310,31 +311,36 @@ def test_sweep_non_positive_timeline_duration_is_rejected():
 DISTRIBUTED_ARGS = ["figure5", "--sizes", "10", "--joins", "5", "--time-limit", "20"]
 
 
-def test_dispatch_worker_status_drain(tmp_path, capsys):
-    queue_dir = str(tmp_path / "queue")
-    assert main(["dispatch", *DISTRIBUTED_ARGS, "--queue-dir", queue_dir]) == 0
+@pytest.fixture
+def url():
+    """The URL of a fresh in-process coordinator."""
+    coordinator = Coordinator()
+    yield coordinator.start()
+    coordinator.stop()
+
+
+def test_dispatch_worker_status_drain(url, capsys):
+    assert main(["dispatch", *DISTRIBUTED_ARGS, "--url", url]) == 0
     out = capsys.readouterr().out
     assert "7 task(s) enqueued" in out  # 6 strategies + single-user baseline
-    assert main(["worker", "--queue-dir", queue_dir, "--max-tasks", "7"]) == 0
+    assert main(["worker", "--url", url, "--max-tasks", "7"]) == 0
     assert "7 executed" in capsys.readouterr().out
-    assert main(["status", "--queue-dir", queue_dir, "--json"]) == 0
+    assert main(["status", "--url", url, "--json"]) == 0
     status = json.loads(capsys.readouterr().out)
     assert status["all_done"] and status["total"] == 7 and status["failed"] == 0
     # Re-dispatch of the finished sweep enqueues nothing.
-    assert main(["dispatch", *DISTRIBUTED_ARGS, "--queue-dir", queue_dir]) == 0
+    assert main(["dispatch", *DISTRIBUTED_ARGS, "--url", url]) == 0
     assert "7 already done" in capsys.readouterr().out
 
 
-def test_distributed_experiment_export_matches_local_run(tmp_path, capsys):
-    queue_dir = str(tmp_path / "queue")
-    assert main(["dispatch", *DISTRIBUTED_ARGS, "--replicates", "2",
-                 "--queue-dir", queue_dir]) == 0
-    assert main(["worker", "--queue-dir", queue_dir]) == 0
+def test_distributed_experiment_export_matches_local_run(url, tmp_path, capsys):
+    assert main(["dispatch", *DISTRIBUTED_ARGS, "--replicates", "2", "--url", url]) == 0
+    assert main(["worker", "--url", url]) == 0
     capsys.readouterr()
     dist_csv = tmp_path / "dist.csv"
     local_csv = tmp_path / "local.csv"
     assert main(["experiment", *DISTRIBUTED_ARGS, "--replicates", "2",
-                 "--distributed", "--queue-dir", queue_dir, "--queue-timeout", "60",
+                 "--url", url, "--queue-timeout", "60",
                  "--export", "csv", "--output", str(dist_csv)]) == 0
     dist_table = capsys.readouterr().out
     assert main(["experiment", *DISTRIBUTED_ARGS, "--replicates", "2",
@@ -345,15 +351,9 @@ def test_distributed_experiment_export_matches_local_run(tmp_path, capsys):
     assert dist_csv.read_bytes() == local_csv.read_bytes()  # byte-identical export
 
 
-def test_distributed_requires_queue_dir():
-    with pytest.raises(SystemExit, match="requires --queue-dir"):
-        main(["experiment", "figure6", "--distributed"])
-
-
-def test_distributed_experiment_times_out_without_workers(tmp_path):
+def test_distributed_experiment_times_out_without_workers(url):
     with pytest.raises(SystemExit, match="timed out"):
-        main(["experiment", *DISTRIBUTED_ARGS, "--distributed",
-              "--queue-dir", str(tmp_path / "queue"), "--queue-timeout", "0.2"])
+        main(["experiment", *DISTRIBUTED_ARGS, "--url", url, "--queue-timeout", "0.2"])
 
 
 def test_sweep_fault_token_errors_are_strict_and_name_the_token():

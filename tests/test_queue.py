@@ -1,7 +1,12 @@
-"""Tests for the distributed work queue, worker daemon and coordinator."""
+"""Tests for the work queue, worker daemon and distributed runner.
+
+The queue is a live in-process ``repro-lb serve`` coordinator, reached
+through its HTTP client.
+"""
 
 import dataclasses
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -11,7 +16,7 @@ import pytest
 
 from repro.runner import (
     DistributedRunner,
-    FilesystemBackend,
+    HttpBackend,
     ParallelRunner,
     PointExecutionError,
     PointSpec,
@@ -20,7 +25,28 @@ from repro.runner import (
     Worker,
     point_from_payload,
 )
-from repro.runner.backends.base import DEFAULT_MAX_ATTEMPTS
+from repro.runner.backends.base import DEFAULT_MAX_ATTEMPTS, wait_for_tasks
+from repro.service import Coordinator
+
+
+@pytest.fixture
+def serve():
+    """Start coordinators on demand: ``serve(lease_seconds)`` -> a client."""
+    coordinators = []
+
+    def start(lease_seconds: float = 60.0) -> HttpBackend:
+        coordinator = Coordinator(lease_seconds=lease_seconds)
+        coordinators.append(coordinator)
+        return HttpBackend(coordinator.start())
+
+    yield start
+    for coordinator in coordinators:
+        coordinator.stop()
+
+
+@pytest.fixture
+def queue(serve):
+    return serve()
 
 
 def tiny_spec(strategies=("OPT-IO-CPU",), **kwargs) -> ScenarioSpec:
@@ -57,8 +83,7 @@ def test_point_payload_roundtrips_through_json():
     assert rebuilt == point
 
 
-def test_task_id_is_the_cache_key_and_ignores_presentation(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_task_id_is_the_cache_key_and_ignores_presentation(queue):
     point = make_point()
     assert queue.task_id(point) == queue.results.key(point)
     relabelled = dataclasses.replace(point, figure="g", series="other", x=99)
@@ -68,21 +93,8 @@ def test_task_id_is_the_cache_key_and_ignores_presentation(tmp_path):
     assert queue.task_id(rebuilt) == queue.task_id(point)
 
 
-def test_task_file_with_an_invalid_point_is_not_loadable(tmp_path):
-    queue = FilesystemBackend(tmp_path)
-    point = make_point()
-    queue.enqueue([point])
-    task_id = queue.task_id(point)
-    path = queue._task_path(task_id)
-    data = json.loads(path.read_text())
-    data["point"]["kind"] = "nope"
-    path.write_text(json.dumps(data))
-    assert queue.load_task(task_id) is None
-
-
 # -- enqueue / resume -------------------------------------------------------------
-def test_enqueue_dedupes_and_is_idempotent(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_enqueue_dedupes_and_is_idempotent(queue):
     points = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM")).points()
     first = queue.enqueue(list(points) + [points[0]])  # duplicate point
     assert first.enqueued == 2
@@ -94,8 +106,7 @@ def test_enqueue_dedupes_and_is_idempotent(tmp_path):
     assert status.total == 2 and status.pending == 2
 
 
-def test_enqueue_marks_preseeded_results_done(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_enqueue_marks_preseeded_results_done(queue):
     point = tiny_spec().points()[0]
     result = ParallelRunner(workers=1).run_points([point])[0]
     # Result stored (e.g. by a worker that died before marking): enqueue
@@ -107,8 +118,7 @@ def test_enqueue_marks_preseeded_results_done(tmp_path):
 
 
 # -- leases -----------------------------------------------------------------------
-def test_claim_is_exclusive(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_claim_is_exclusive(queue):
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
@@ -118,61 +128,51 @@ def test_claim_is_exclusive(tmp_path):
     assert queue.try_claim(task_id, "w2")
 
 
-def test_stale_lease_of_dead_local_process_is_reclaimed(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_stale_lease_of_dead_local_process_is_reclaimed(queue):
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
-    assert queue.try_claim(task_id, "w1")
-    # Rewrite the lease as if a (now dead) local process held it.
+    # The holder is a (now dead) process on the coordinator's host.
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
-    lease_path = queue._lease_path(task_id)
-    lease = json.loads(lease_path.read_text())
-    lease["pid"] = child.pid
-    lease_path.write_text(json.dumps(lease))
+    assert queue.try_claim(task_id, "w1", host=socket.gethostname(), pid=child.pid)
     assert queue.try_claim(task_id, "w2")  # dead holder: immediate takeover
-    lease = json.loads(lease_path.read_text())
-    assert lease["worker"] == "w2"
+    assert queue.heartbeat(task_id, "w2")
+    assert not queue.heartbeat(task_id, "w1")
 
 
-def test_expired_heartbeat_is_reclaimed_live_one_is_not(tmp_path):
-    queue = FilesystemBackend(tmp_path, lease_seconds=30.0)
+def test_expired_heartbeat_is_reclaimed_live_one_is_not(serve):
+    queue = serve(lease_seconds=1.0)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
-    assert queue.try_claim(task_id, "w1")
-    lease_path = queue._lease_path(task_id)
-    lease = json.loads(lease_path.read_text())
-    lease["pid"] = 1  # not ours: fall through to the heartbeat check
-    lease["host"] = "elsewhere"
-    lease["heartbeat_at"] = time.time() - 5.0
-    lease_path.write_text(json.dumps(lease))
+    # A holder on another host: only the heartbeat age can expire the lease.
+    assert queue.try_claim(task_id, "w1", host="elsewhere", pid=1)
+    time.sleep(0.2)
     assert not queue.try_claim(task_id, "w2")  # heartbeat still fresh
-    lease["heartbeat_at"] = time.time() - 60.0
-    lease_path.write_text(json.dumps(lease))
+    time.sleep(1.0)
     assert queue.try_claim(task_id, "w2")
 
 
-def test_heartbeat_refreshes_only_own_lease(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_heartbeat_refreshes_only_own_lease(serve):
+    queue = serve(lease_seconds=1.0)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
-    assert queue.try_claim(task_id, "w1")
-    before = json.loads(queue._lease_path(task_id).read_text())["heartbeat_at"]
-    time.sleep(0.01)
+    assert queue.try_claim(task_id, "w1", host="elsewhere", pid=1)
+    time.sleep(0.6)
     assert queue.heartbeat(task_id, "w1")
-    after = json.loads(queue._lease_path(task_id).read_text())["heartbeat_at"]
-    assert after > before
+    time.sleep(0.6)  # 1.2 s after the claim, 0.6 s after the heartbeat
+    assert queue.lease_state(task_id) == "running"
     assert not queue.heartbeat(task_id, "w2")  # not the holder
+    time.sleep(0.6)  # w2's refusal refreshed nothing
+    assert queue.lease_state(task_id) == "stale"
 
 
 # -- worker -----------------------------------------------------------------------
-def test_worker_drains_queue_and_results_match_local_run(tmp_path):
+def test_worker_drains_queue_and_results_match_local_run(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
     local = ParallelRunner(workers=1).run_points(spec.points())
-    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     stats = Worker(queue, worker_id="w1", poll_interval=0.05).run()
     assert stats.executed == 2 and stats.failed == 0
@@ -181,9 +181,8 @@ def test_worker_drains_queue_and_results_match_local_run(tmp_path):
     assert stored == local  # bit-identical to the in-process runner
 
 
-def test_worker_respects_max_tasks_and_resumes(tmp_path):
+def test_worker_respects_max_tasks_and_resumes(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
-    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     first = Worker(queue, worker_id="w1", poll_interval=0.05).run(max_tasks=1)
     assert first.claimed == 1
@@ -197,10 +196,9 @@ def test_worker_respects_max_tasks_and_resumes(tmp_path):
     assert queue.status().all_done
 
 
-def test_two_workers_split_the_queue_without_duplication(tmp_path):
+def test_two_workers_split_the_queue_without_duplication(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM", "psu_noIO+RANDOM",
                                  "psu_opt+LUM"))
-    queue = FilesystemBackend(tmp_path)
     queue.enqueue(spec.points())
     stats = [None, None]
 
@@ -218,14 +216,14 @@ def test_two_workers_split_the_queue_without_duplication(tmp_path):
     assert stats[0].failed == stats[1].failed == 0
 
 
-def test_failing_point_consumes_retry_budget(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_failing_point_consumes_retry_budget(queue):
     bad = make_point(strategy="NO-SUCH-STRATEGY")
     queue.enqueue([bad], max_attempts=2)
     stats = Worker(queue, worker_id="w1", poll_interval=0.02).run()
     assert stats.failed == 2 and stats.executed == 0
     task_id = queue.task_id(bad)
-    assert queue.is_failed(task_id)
+    assert queue.poll_finished([task_id]) == {task_id}
+    assert not queue.is_done(task_id)
     assert queue.attempts(task_id) == 2
     status = queue.status()
     assert status.failed == 1 and status.unfinished == 0
@@ -233,8 +231,7 @@ def test_failing_point_consumes_retry_budget(tmp_path):
     assert "failed task" in status.render()
 
 
-def test_interrupted_worker_releases_lease_without_burning_a_retry(tmp_path, monkeypatch):
-    queue = FilesystemBackend(tmp_path)
+def test_interrupted_worker_releases_lease_without_burning_a_retry(queue, monkeypatch):
     point = make_point()
     queue.enqueue([point])
     worker = Worker(queue, worker_id="w1", poll_interval=0.02)
@@ -254,7 +251,7 @@ def test_interrupted_worker_releases_lease_without_burning_a_retry(tmp_path, mon
     assert queue.status().all_done
 
 
-# -- coordinator ------------------------------------------------------------------
+# -- distributed runner -----------------------------------------------------------
 def drain_in_thread(queue, **kwargs):
     thread = threading.Thread(
         target=lambda: Worker(queue, poll_interval=0.02, **kwargs).run(), daemon=True
@@ -263,10 +260,10 @@ def drain_in_thread(queue, **kwargs):
     return thread
 
 
-def test_distributed_runner_matches_parallel_runner(tmp_path):
+def test_distributed_runner_matches_parallel_runner(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
     local = ParallelRunner(workers=2).run(spec)
-    runner = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
+    runner = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
     runner.dispatch(spec.points())
     thread = drain_in_thread(runner.queue, worker_id="w1")
     distributed = runner.run(spec)
@@ -281,10 +278,10 @@ def test_distributed_runner_matches_parallel_runner(tmp_path):
     assert local.to_rows() == distributed.to_rows()
 
 
-def test_distributed_runner_replicates_aggregate_identically(tmp_path):
+def test_distributed_runner_replicates_aggregate_identically(queue):
     spec = tiny_spec().with_replicates(2)
     local = ParallelRunner(workers=2).run(spec).aggregate()
-    runner = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
+    runner = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
     runner.dispatch(spec.points())
     thread = drain_in_thread(runner.queue, worker_id="w1")
     distributed = runner.run(spec).aggregate()
@@ -293,16 +290,16 @@ def test_distributed_runner_replicates_aggregate_identically(tmp_path):
     assert local.to_rows() == distributed.to_rows()
 
 
-def test_distributed_runner_times_out_without_workers(tmp_path):
-    runner = DistributedRunner(tmp_path / "queue", timeout=0.2, poll_interval=0.02)
+def test_distributed_runner_times_out_without_workers(queue):
+    runner = DistributedRunner(queue.base_url, timeout=0.2, poll_interval=0.02)
     with pytest.raises(TimeoutError) as excinfo:
         runner.run(tiny_spec())
     assert "unfinished" in str(excinfo.value)
 
 
-def test_distributed_runner_surfaces_exhausted_tasks(tmp_path):
+def test_distributed_runner_surfaces_exhausted_tasks(queue):
     runner = DistributedRunner(
-        tmp_path / "queue", timeout=60.0, poll_interval=0.02, max_attempts=1
+        queue.base_url, timeout=60.0, poll_interval=0.02, max_attempts=1
     )
     bad = make_point(strategy="NO-SUCH-STRATEGY")
     runner.dispatch([bad])
@@ -312,13 +309,13 @@ def test_distributed_runner_surfaces_exhausted_tasks(tmp_path):
     assert "retry budget" in str(excinfo.value)
 
 
-def test_distributed_runner_resumes_from_partial_queue(tmp_path):
+def test_distributed_runner_resumes_from_partial_queue(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
-    runner = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
+    runner = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
     runner.dispatch(spec.points())
     Worker(runner.queue, worker_id="w1", poll_interval=0.02).run(max_tasks=1)
-    # Coordinator restarted later: only the missing point is outstanding.
-    resumed = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
+    # The client restarted later: only the missing point is outstanding.
+    resumed = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
     summary = resumed.dispatch(spec.points())
     assert summary.already_done == 1 and summary.already_queued == 1
     thread = drain_in_thread(resumed.queue, worker_id="w2")
@@ -327,8 +324,22 @@ def test_distributed_runner_resumes_from_partial_queue(tmp_path):
     assert len(experiment.points) == 2
 
 
-def test_default_max_attempts_applied_to_enqueued_tasks(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_task_file_with_an_invalid_point_is_not_loadable(tmp_path):
+    """The journal is the coordinator's task file: a task record whose point
+    is invalid refuses the whole file, naming the line and the field."""
+    state = tmp_path / "state"
+    coordinator = Coordinator(state_dir=state)
+    HttpBackend(coordinator.start()).enqueue([make_point()])
+    coordinator.stop()
+    journal = state / "journal.jsonl"
+    record = json.loads(journal.read_text())
+    record["point"]["kind"] = "nope"
+    journal.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"journal\.jsonl:1: .*unknown point kind 'nope'"):
+        Coordinator(state_dir=state)
+
+
+def test_default_max_attempts_applied_to_enqueued_tasks(queue):
     point = make_point()
     queue.enqueue([point])
     record = queue.load_task(queue.task_id(point))
@@ -338,38 +349,35 @@ def test_default_max_attempts_applied_to_enqueued_tasks(tmp_path):
 
 
 # -- robustness fixes --------------------------------------------------------------
-def test_unreadable_task_record_is_terminal_not_pending(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_unreadable_task_record_is_terminal_not_pending(queue):
+    """A task id the coordinator holds no record of (e.g. after a restart
+    without --state-dir) is terminal: nobody waits on it forever."""
     good = make_point()
     queue.enqueue([good])
-    corrupt_path = queue.tasks_dir / ("f" * 64 + ".json")
-    corrupt_path.write_text("{not json")
-    assert queue.is_failed("f" * 64)
-    status = queue.status()
+    unknown = "f" * 64
+    assert queue.load_task(unknown) is None
+    assert queue.poll_finished([unknown]) == {unknown}
+    status = queue.status([queue.task_id(good), unknown])
     assert status.total == 2 and status.failed == 1
-    assert "unreadable" in status.failures[0]["last_error"]
-    # Workers and coordinators must not wait on it forever.
+    assert status.failures[0]["last_error"] == "unknown task"
     stats = Worker(queue, worker_id="w1", poll_interval=0.02).run()
     assert stats.executed == 1
-    queue.wait(queue.task_ids(), poll_interval=0.02, timeout=5.0)
+    wait_for_tasks(queue, [queue.task_id(good), unknown], poll_interval=0.02, timeout=5.0)
 
 
-def test_stale_claimant_cannot_stomp_reclaimed_lease(tmp_path):
-    queue = FilesystemBackend(tmp_path)
+def test_stale_claimant_cannot_stomp_reclaimed_lease(serve):
+    queue = serve(lease_seconds=0.3)
     point = make_point()
     queue.enqueue([point])
     task_id = queue.task_id(point)
-    assert queue.try_claim(task_id, "w1")
-    # Simulate a reclaim: w2 now owns the lease while w1 is still running.
-    lease_path = queue._lease_path(task_id)
-    lease = json.loads(lease_path.read_text())
-    lease["worker"] = "w2"
-    lease_path.write_text(json.dumps(lease))
+    assert queue.try_claim(task_id, "w1", host="elsewhere", pid=1)
+    time.sleep(0.5)
+    assert queue.try_claim(task_id, "w2")  # w1's lease expired: reclaimed
     # w1's failure must neither charge the budget nor drop w2's lease.
     assert queue.record_failure(task_id, "w1", "boom") == 0
     assert queue.attempts(task_id) == 0
-    assert lease_path.exists()
+    assert queue.lease_state(task_id) is not None
     queue.release(task_id, "w1")
-    assert lease_path.exists()  # owner check: w2 still holds it
+    assert queue.lease_state(task_id) is not None  # owner check: w2 still holds it
     queue.release(task_id, "w2")
-    assert not lease_path.exists()
+    assert queue.lease_state(task_id) is None

@@ -17,7 +17,7 @@ from repro.runner import (
     Worker,
     build_scenario,
 )
-from repro.runner.backends import FilesystemBackend, HttpBackend
+from repro.runner.backends import HttpBackend
 from repro.service import Coordinator
 
 
@@ -223,15 +223,8 @@ def test_heartbeat_streams_windows_before_completion(monkeypatch):
         coordinator.stop()
 
 
-def test_report_windows_is_a_noop_locally_and_ignored_for_unknown_tasks(
-    coordinator, tmp_path
-):
+def test_report_windows_is_ignored_for_unknown_tasks(coordinator):
     window = TimelineWindow(start=0.0, end=5.0)
-    queue = FilesystemBackend(tmp_path / "queue")
-    files = sorted(tmp_path.rglob("*"))
-    queue.report_windows("some-task", "w1", 0, [window])
-    assert sorted(tmp_path.rglob("*")) == files
-
     HttpBackend(coordinator.url).report_windows("no-such-task", "w1", 0, [window])
     text = scrape(coordinator)
     assert "repro_windows_streamed_total 0" in text
@@ -249,6 +242,23 @@ def test_windows_endpoint_rejects_invalid_reports(coordinator, field, value):
     code, message = refused(coordinator, "/windows", dict(report, **{field: value}))
     assert code == 400
     assert field in message
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [("/poll", "abc"), ("/poll", None), ("/poll", [1]), ("/poll", {"a": 1}),
+     ("/status", "abc"), ("/status", [None]), ("/status", 7)],
+    ids=["poll-string", "poll-null", "poll-int-item", "poll-object",
+         "status-string", "status-null-item", "status-int"],
+)
+def test_task_id_lists_are_validated_over_http(coordinator, path, value):
+    """A string is not a list of task ids: iterating it would poll (or
+    report on) one task per character."""
+    backend = HttpBackend(coordinator.url)
+    backend.enqueue([timeline_point()])
+    code, message = refused(coordinator, path, {"task_ids": value})
+    assert code == 400
+    assert "task_ids" in message
 
 
 def test_window_gauges_keep_every_replicate(coordinator):

@@ -528,7 +528,8 @@ def _run_dispatch(args: argparse.Namespace) -> int:
         print(f"scenario {spec.name!r} has no simulation points to dispatch")
         return 0
     runner = DistributedRunner(args.url, max_attempts=args.max_retries)
-    summary = runner.dispatch(points)
+    with runner.queue:
+        summary = runner.dispatch(points)
     print(
         f"queue {runner.queue.describe()}: {summary.enqueued} task(s) enqueued, "
         f"{summary.already_queued} already queued, {summary.already_done} already done "
@@ -549,10 +550,10 @@ def _run_worker(args: argparse.Namespace) -> int:
         raise SystemExit(128 + signum)
 
     signal.signal(signal.SIGTERM, terminate)
-    queue = HttpBackend(args.url)
-    worker = Worker(queue, worker_id=args.worker_id, poll_interval=args.poll)
-    print(f"worker {worker.worker_id}: draining {queue.describe()}", file=sys.stderr)
-    stats = worker.run(max_tasks=args.max_tasks)
+    with HttpBackend(args.url) as queue:
+        worker = Worker(queue, worker_id=args.worker_id, poll_interval=args.poll)
+        print(f"worker {worker.worker_id}: draining {queue.describe()}", file=sys.stderr)
+        stats = worker.run(max_tasks=args.max_tasks)
     print(
         f"worker {worker.worker_id}: {stats.executed} executed, "
         f"{stats.satisfied} satisfied from the result store, {stats.failed} failed"
@@ -565,8 +566,8 @@ def _run_status(args: argparse.Namespace) -> int:
 
     from repro.runner import HttpBackend
 
-    queue = HttpBackend(args.url)
-    status = queue.status()
+    with HttpBackend(args.url) as queue:
+        status = queue.status()
     if args.json:
         print(json_module.dumps(status.to_dict(), indent=2, sort_keys=True))
     else:

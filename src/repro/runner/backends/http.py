@@ -4,14 +4,22 @@ Workers and dispatching clients on any machine talk to one coordinator
 (see :mod:`repro.service.coordinator`) over plain JSON HTTP -- no shared
 mount required.  Every operation is one round trip; the scan-shaped ones
 (``claim_next``, ``status``, ``poll_finished``) run on the coordinator, so
-a claim is one request instead of one per task.
+a claim is one request instead of one per task, and ``load_results`` reads
+a whole sweep's results in one request.
 
 Transport notes:
 
-* everything uses :mod:`urllib.request`; transport failures surface as
-  :class:`urllib.error.URLError`, which subclasses :class:`OSError` --
-  exactly what the worker's heartbeat thread already tolerates, so a
-  running worker rides out a short coordinator restart;
+* every calling thread keeps one :mod:`http.client` connection alive
+  between its requests (a worker's heartbeat thread has its own), so a
+  request is one round trip on an open socket instead of a TCP handshake
+  and a fresh coordinator thread; :meth:`HttpBackend.close` (or leaving a
+  ``with HttpBackend(...)`` block) closes the calling thread's connection,
+  and the next call opens a new one;
+* transport failures surface as :class:`urllib.error.URLError`, which
+  subclasses :class:`OSError` -- exactly what the worker's heartbeat thread
+  already tolerates, so a running worker rides out a short coordinator
+  restart; a kept-alive connection that a restarted coordinator dropped
+  fails one attempt, and the retry opens a fresh one;
 * ``lease_seconds`` is fetched from ``GET /config`` at construction, so
   every participant of one queue agrees on the lease without repeating it
   on the command line (and a bad URL fails fast, before a worker loop
@@ -23,14 +31,16 @@ Transport notes:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
 import socket
+import threading
 import time
 import urllib.error
-import urllib.request
-from typing import Dict, List, Optional, Sequence, Set
+import urllib.parse
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.metrics.timeline import TimelineWindow
 from repro.runner.backends.base import (
@@ -60,18 +70,12 @@ RETRY_ATTEMPTS = 3
 #: in lockstep.
 _RETRY_BASE_SECONDS = 0.1
 
+#: Statuses worth retrying: a proxy in front of a restarting or briefly
+#: overloaded coordinator.  Any other 4xx/5xx is the server *answering* --
+#: a 4xx means the request itself is wrong and retrying cannot help.
+_RETRY_STATUSES = (502, 503)
 
-def _retryable(exc: BaseException) -> bool:
-    """Whether a transport failure is worth retrying.
-
-    Retry covers a restarting or briefly overloaded coordinator: connection
-    resets and refusals (``URLError``/``OSError``), plus the proxy-shaped
-    502/503 responses.  Any other HTTP status is the server *answering* --
-    a 4xx means the request itself is wrong and retrying cannot help.
-    """
-    if isinstance(exc, urllib.error.HTTPError):
-        return exc.code in (502, 503)
-    return isinstance(exc, OSError)  # URLError subclasses OSError
+_HEADERS = {"Content-Type": "application/json"}
 
 
 def _task_record(payload: Dict[str, object]) -> TaskRecord:
@@ -84,7 +88,7 @@ def _task_record(payload: Dict[str, object]) -> TaskRecord:
 
 
 class _RemoteResults:
-    """Result-store adapter over ``GET /results`` / ``POST /complete``-free puts.
+    """Result-store adapter over ``GET /results/<id>`` and ``POST /results``.
 
     Quacks like :class:`~repro.runner.cache.ResultCache` (``get``/``put``/
     ``key``/``hits``/``misses``/``root``) so the distributed runner and the
@@ -111,15 +115,32 @@ class _RemoteResults:
         self.hits += 1
         return SimulationResult.from_dict(payload["result"])
 
+    def get_many(self, points: Sequence[PointSpec]) -> List[Optional[SimulationResult]]:
+        """Every stored result of ``points`` in one request; ``None`` where
+        the store has none (one hit per result returned)."""
+        task_ids = [self.key(point) for point in points]
+        response = self._backend._call(
+            "POST", "/results", {"task_ids": list(dict.fromkeys(task_ids))}
+        )
+        stored = (response or {}).get("results") or {}
+        self.hits += len(stored)
+        results = {task_id: SimulationResult.from_dict(data) for task_id, data in stored.items()}
+        return [results.get(task_id) for task_id in task_ids]
+
     def put(self, point: PointSpec, result: SimulationResult) -> str:
         # A direct put (outside the claim protocol) completes the task; a
         # later enqueue of the point finds it done.
-        self._backend.complete(self.key(point), point, result, worker="put")
+        self._backend.complete(self.key(point), point, result.to_dict(), worker="put")
         return self.key(point)
 
 
 class HttpBackend:
-    """Client of a ``repro-lb serve`` coordinator's queue."""
+    """Client of a ``repro-lb serve`` coordinator's queue.
+
+    Safe to share between threads: each thread talks over its own
+    connection, and each closes it (:meth:`close`, or a ``with`` block)
+    when done.
+    """
 
     def __init__(
         self,
@@ -129,12 +150,27 @@ class HttpBackend:
         self.base_url = url.rstrip("/")
         if not self.base_url.startswith(("http://", "https://")):
             raise ValueError(f"coordinator URL must be http(s)://..., got {url!r}")
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._https = parts.scheme == "https"
+        self._netloc = parts.netloc
+        self._prefix = parts.path
         self.request_timeout = float(request_timeout)
+        self._local = threading.local()  # .connection: the calling thread's
         self._results = _RemoteResults(self)
         # Fail fast on a bad URL and agree on the lease with the server.
-        config = self._call("GET", "/config")
-        self.lease_seconds = float(config["lease_seconds"])
-        self.server_max_attempts = int(config.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
+        try:
+            config = self._call("GET", "/config")
+            self.lease_seconds = float(config["lease_seconds"])
+            self.server_max_attempts = int(config.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "HttpBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def results(self) -> _RemoteResults:
@@ -148,6 +184,13 @@ class HttpBackend:
         return point_key(point)
 
     # -- transport -----------------------------------------------------------------
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call opens a new one)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            self._local.connection = None
+            connection.close()
+
     def _call(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> Optional[dict]:
@@ -157,40 +200,44 @@ class HttpBackend:
         retried up to :data:`RETRY_ATTEMPTS` times with jittered backoff;
         other 4xx/5xx statuses stay fatal on the first response.
         """
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=None if payload is None else json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method=method,
-        )
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
         for attempt in range(RETRY_ATTEMPTS):
+            last = attempt + 1 == RETRY_ATTEMPTS
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.request_timeout
-                ) as response:
-                    body = response.read()
-            except urllib.error.HTTPError as exc:
-                if exc.code == 404:
-                    return None
-                if _retryable(exc) and attempt + 1 < RETRY_ATTEMPTS:
-                    self._backoff(attempt)
-                    continue
-                detail = ""
-                try:
-                    detail = exc.read().decode("utf-8", "replace")
-                except OSError:
-                    pass
+                status, data = self._exchange(method, path, body)
+            except OSError as exc:
+                if last:
+                    raise urllib.error.URLError(exc) from exc
+                self._backoff(attempt)
+                continue
+            if status == 404:
+                return None
+            if status in _RETRY_STATUSES and not last:
+                self._backoff(attempt)
+                continue
+            if status >= 400:
                 raise urllib.error.URLError(
-                    f"coordinator {self.base_url}{path} returned {exc.code}: {detail}"
-                ) from exc
-            except OSError:
-                # URLError (connection refused/reset, DNS) subclasses OSError.
-                if attempt + 1 < RETRY_ATTEMPTS:
-                    self._backoff(attempt)
-                    continue
-                raise
-            return json.loads(body.decode("utf-8")) if body else None
+                    f"coordinator {self.base_url}{path} returned {status}: "
+                    f"{data.decode('utf-8', 'replace')}"
+                )
+            return json.loads(data.decode("utf-8")) if data else None
         raise AssertionError("unreachable: retry loop exits by return or raise")
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, bytes]:
+        """Send one request on this thread's connection: (status, body)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            factory = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+            connection = factory(self._netloc, timeout=self.request_timeout)
+            self._local.connection = connection
+        try:
+            connection.request(method, self._prefix + path, body=body, headers=_HEADERS)
+            response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            # A half-used connection cannot carry the next request.
+            self.close()
+            raise
 
     @staticmethod
     def _backoff(attempt: int) -> None:
@@ -308,20 +355,16 @@ class HttpBackend:
         self,
         task_id: str,
         point: PointSpec,
-        result: Optional[SimulationResult],
+        result: Optional[Dict[str, object]],
         worker: str,
     ) -> None:
+        """Mark the task done, storing ``result`` (a ``to_dict()`` payload) when given."""
         from dataclasses import asdict
 
         self._call(
             "POST",
             "/complete",
-            {
-                "task_id": task_id,
-                "point": asdict(point),
-                "result": None if result is None else result.to_dict(),
-                "worker": worker,
-            },
+            {"task_id": task_id, "point": asdict(point), "result": result, "worker": worker},
         )
 
     def record_failure(self, task_id: str, worker: str, error: str) -> int:
@@ -332,6 +375,10 @@ class HttpBackend:
 
     def load_result(self, point: PointSpec) -> Optional[SimulationResult]:
         return self._results.get(point)
+
+    def load_results(self, points: Sequence[PointSpec]) -> List[Optional[SimulationResult]]:
+        """The stored results of ``points`` (``None`` where none is), in one request."""
+        return self._results.get_many(points)
 
     # -- scans run by the coordinator ----------------------------------------------
     def status(self, task_ids=None) -> QueueStatus:

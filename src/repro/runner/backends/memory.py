@@ -3,7 +3,9 @@
 ``repro-lb serve`` holds one :class:`MemoryBackend`.  Every task record,
 lease, retry ledger and result lives in process memory behind one
 re-entrant lock, so the (threaded) HTTP handlers mutate a consistent queue
-and every read is served from memory.  The claim scan, the status fold and
+and every read is served from memory.  A result is kept once, as the JSON
+bytes the coordinator serves: it is encoded when it arrives (or is
+replayed), never per read.  The claim scan, the status fold and
 the wait loop's probe run here, under the lock, and clients reach each of
 them in one round trip.
 
@@ -51,6 +53,10 @@ from repro.runner.cache import ResultCache, point_key
 from repro.runner.spec import PointSpec, point_from_payload
 
 __all__ = ["MemoryBackend"]
+
+
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
 
 
 class _Journal:
@@ -111,7 +117,7 @@ class MemoryBackend:
         self._leases: Dict[str, Dict[str, object]] = {}
         self._done: Set[str] = set()
         self._errors: Dict[str, List[str]] = {}  # one entry per failed attempt
-        self._payloads: Dict[str, dict] = {}
+        self._results_json: Dict[str, bytes] = {}  # task id -> encoded result
         self._host = socket.gethostname()
         self._journal: Optional[_Journal] = None
         self._results: Optional[ResultCache] = None
@@ -153,9 +159,11 @@ class MemoryBackend:
         elif op == "release":
             self._leases.pop(task_id, None)
         elif op == "done":
-            payload = self._payloads.get(task_id) or self._stored_result(task_id)
-            if payload is not None:
-                self._payloads[task_id] = payload
+            if task_id not in self._results_json:
+                payload = self._stored_result(task_id)
+                if payload is not None:
+                    self._results_json[task_id] = _encode(payload)
+            if task_id in self._results_json:
                 self._done.add(task_id)
             if self._holds(task_id, str(record["worker"])):
                 del self._leases[task_id]
@@ -225,7 +233,7 @@ class MemoryBackend:
                     self._tasks[task_id] = TaskRecord(task_id, point, int(max_attempts), now)
                 if task_id in self._done:
                     already_done += 1
-                elif task_id in self._payloads:
+                elif task_id in self._results_json:
                     # Pre-seeded result (e.g. a re-submitted sweep): mark it
                     # done so no worker wastes a slot re-running it.
                     self._mark_done(task_id, worker="dispatch")
@@ -385,7 +393,7 @@ class MemoryBackend:
             if result is not None:
                 if self._results is not None:
                     self._results.put_payload(self._point_of(task_id, point_payload), result)
-                self._payloads[task_id] = result
+                self._results_json[task_id] = _encode(result)
             self._mark_done(task_id, worker)
 
     def _point_of(self, task_id: str, payload: Optional[Dict[str, object]]) -> PointSpec:
@@ -405,6 +413,8 @@ class MemoryBackend:
             self._log(op="fail", task_id=task_id, worker=worker, error=error)
             return self._charge(task_id, error)
 
-    def result_payload(self, task_id: str) -> Optional[dict]:
+    def result_json(self, task_id: str) -> Optional[bytes]:
+        """The stored result of ``task_id`` as JSON bytes, or ``None``."""
         with self._lock:
-            return self._payloads.get(task_id)
+            return self._results_json.get(task_id)
+

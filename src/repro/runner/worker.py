@@ -23,7 +23,8 @@ lost, and not double-counted -- by whoever claims it next.
 
 Transport errors are :class:`urllib.error.URLError`, an :class:`OSError`:
 the heartbeat thread rides them out, so a running point survives a short
-coordinator restart.
+coordinator restart.  The heartbeat thread talks over its own connection
+and closes it when it exits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.metrics.timeline import TimelineWindow, live_windows
 from repro.runner.backends.base import TaskRecord
 from repro.runner.backends.http import HttpBackend
 from repro.runner.runner import PointExecutionError, execute_point_checked
-from repro.simulation.results import SimulationResult
 
 __all__ = ["Worker", "WorkerStats"]
 
@@ -73,16 +73,21 @@ class _Heartbeat(threading.Thread):
 
     def run(self) -> None:
         reported = 0
-        while not self._halt.wait(self._interval):
-            try:
-                if not self._queue.heartbeat(self._task_id, self._worker_id):
-                    return  # lease lost (reclaimed): completion stays safe
-                closed = self.windows[reported:]
-                if closed:
-                    self._queue.report_windows(self._task_id, self._worker_id, reported, closed)
-                    reported += len(closed)
-            except OSError:
-                pass  # coordinator unreachable: try again next interval
+        try:
+            while not self._halt.wait(self._interval):
+                try:
+                    if not self._queue.heartbeat(self._task_id, self._worker_id):
+                        return  # lease lost (reclaimed): completion stays safe
+                    closed = self.windows[reported:]
+                    if closed:
+                        self._queue.report_windows(
+                            self._task_id, self._worker_id, reported, closed
+                        )
+                        reported += len(closed)
+                except OSError:
+                    pass  # coordinator unreachable: try again next interval
+        finally:
+            self._queue.close()  # this thread's connection
 
     def stop(self) -> None:
         self._halt.set()
@@ -153,6 +158,5 @@ class Worker:
         finally:
             live_windows.reset(token)
         heartbeat.stop()
-        result = SimulationResult.from_dict(data)
-        self.queue.complete(task_id, task.point, result, self.worker_id)
+        self.queue.complete(task_id, task.point, data, self.worker_id)
         stats.executed += 1

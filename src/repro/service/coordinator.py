@@ -47,17 +47,24 @@ Endpoints (JSON unless noted)::
     POST /fail                 charge a failed attempt
     POST /status               queue status (optionally for a task subset)
     POST /poll                 terminal subset of the given task ids
+    POST /results              every stored result of the given task ids
+
+Connections are kept alive between requests (HTTP/1.1).  An error response
+(4xx/5xx) closes its connection, so a request body the handler did not
+read can never be parsed as the next request; :meth:`Coordinator.stop`
+shuts every open connection, so a stopped coordinator answers nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.metrics.prometheus import MetricFamily, render_families
 from repro.runner.backends.base import (
@@ -371,8 +378,10 @@ class Coordinator:
         return f"http://{host}:{port}"
 
     def stop(self) -> None:
+        """Stop serving: no open connection is answered after this returns."""
         if self._server is not None:
             self._server.shutdown()
+            self._server.close_connections()
             self._server.server_close()
             self._server = None
         if self._thread is not None:
@@ -399,11 +408,53 @@ class Coordinator:
             self.backend.close()
 
 
-def _make_server(coordinator: Coordinator, host: str, port: int) -> ThreadingHTTPServer:
+class _Server(ThreadingHTTPServer):
+    """A thread per connection; remembers its open connections."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler: type):
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        # Registered in the accept loop, so once ``shutdown()`` has returned
+        # every connection is known to ``close_connections``.
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection; its handler reads EOF and exits."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+
+
+def _make_server(coordinator: Coordinator, host: str, port: int) -> _Server:
     handler = type("CoordinatorHandler", (_Handler,), {"coordinator": coordinator})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((host, port), handler)
+
+
+def _results_body(backend: MemoryBackend, task_ids: Sequence[str]) -> bytes:
+    """``{"results": {id: result, ...}}`` for every stored result, spliced
+    from the stored JSON bytes without decoding them."""
+    parts: List[bytes] = []
+    for task_id in dict.fromkeys(task_ids):
+        data = backend.result_json(task_id)
+        if data is not None:
+            parts += (b", " if parts else b"", json.dumps(task_id).encode("utf-8"), b": ", data)
+    return b"".join([b'{"results": {', *parts, b"}}"])
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -411,6 +462,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     coordinator: Coordinator  # bound via subclassing in _make_server
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         pass  # per-request logging would swamp worker polling
@@ -420,6 +474,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if code >= 400:
+            # The request may have left bytes unread (a body behind a bad
+            # Content-Length): never parse them as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -430,7 +488,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._json({"error": message}, code=code)
 
     def _body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:  # checked before reading: -1 would read to EOF
+            raise ValueError(f"Content-Length must be an integer >= 0, got {declared!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -477,11 +541,13 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     self._json(_record_payload(record))
             elif path.startswith("/results/"):
-                payload = backend.result_payload(path[len("/results/"):])
-                if payload is None:
+                task_id = path[len("/results/"):]
+                data = backend.result_json(task_id)
+                if data is None:
                     self._error(404, "no result stored")
                 else:
-                    self._json({"task_id": path[len("/results/"):], "result": payload})
+                    key = json.dumps(task_id).encode("utf-8")
+                    self._send(200, b'{"task_id": ' + key + b', "result": ' + data + b"}")
             else:
                 self._error(404, f"unknown endpoint {path}")
         except Exception as exc:  # pragma: no cover - defensive 500
@@ -549,6 +615,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(backend.status(_task_ids(body, optional=True)).to_dict())
             elif path == "/poll":
                 self._json({"finished": sorted(backend.poll_finished(_task_ids(body)))})
+            elif path == "/results":
+                self._send(200, _results_body(backend, _task_ids(body)))
             else:
                 self._error(404, f"unknown endpoint {path}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ retry budgets, interrupt-safe lease release and resume-after-kill.
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -37,8 +38,8 @@ def backend_factory(request, tmp_path):
     """A factory yielding clients of fresh coordinators, one kind per run:
     ``filesystem`` journals the queue to a state directory (the durable
     queue, since the shared-directory store was removed), ``http`` keeps it
-    in memory only."""
-    coordinators = []
+    in memory only.  Clients and coordinators are closed at teardown."""
+    coordinators, clients = [], []
 
     def make(lease_seconds: float = 60.0):
         state_dir = None
@@ -46,9 +47,12 @@ def backend_factory(request, tmp_path):
             state_dir = tmp_path / f"state{len(coordinators)}"
         coordinator = Coordinator(lease_seconds=lease_seconds, state_dir=state_dir)
         coordinators.append(coordinator)
-        return HttpBackend(coordinator.start())
+        clients.append(HttpBackend(coordinator.start()))
+        return clients[-1]
 
     yield make
+    for client in clients:
+        client.close()
     for coordinator in coordinators:
         coordinator.stop()
 
@@ -57,6 +61,14 @@ def dead_pid() -> int:
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
     return child.pid
+
+
+def drain(backend, worker_id: str):
+    """Run a worker in this thread, then close this thread's connection."""
+    try:
+        return Worker(backend, worker_id=worker_id, poll_interval=0.02).run()
+    finally:
+        backend.close()
 
 
 # -- enqueue ----------------------------------------------------------------------
@@ -242,77 +254,79 @@ def test_distributed_runner_is_backend_agnostic(backend_factory):
     local = ParallelRunner(workers=1).run_points(points)
     runner = DistributedRunner(backend, timeout=120.0, poll_interval=0.02)
     runner.dispatch(points)
-    import threading
-
-    thread = threading.Thread(
-        target=lambda: Worker(backend, worker_id="w1", poll_interval=0.02).run(),
-        daemon=True,
-    )
+    thread = threading.Thread(target=drain, args=(backend, "w1"), daemon=True)
     thread.start()
     distributed = runner.run_points(points)
     thread.join(timeout=60.0)
+    assert not thread.is_alive()
     assert distributed == local
 
 
 # -- HTTP transport retries --------------------------------------------------------
-class _FakeHttpResponse:
-    def __init__(self, payload):
+class _FakeResponse:
+    def __init__(self, status, payload):
         import json as _json
 
+        self.status = status
         self._body = _json.dumps(payload).encode("utf-8")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def read(self):
         return self._body
 
 
-def _scripted_backend(monkeypatch, script):
-    """An HttpBackend whose transport replays ``script`` per non-config call.
+class _FakeConnection:
+    """Stands in for ``http.client.HTTPConnection``: answers ``GET /config``
+    and replays the shared ``script`` for every other request."""
 
-    ``script`` entries are exceptions (raised) or payload dicts (returned);
-    ``GET /config`` is always answered so construction succeeds.  Returns
-    (backend, calls, sleeps) where ``calls`` counts non-config round trips
-    and ``sleeps`` records every backoff duration (real sleeping disabled).
+    def __init__(self, script, calls):
+        self._script = script
+        self._calls = calls
+        self._path = None
+        self.closed = False
+
+    def request(self, method, path, body=None, headers=None):
+        self._path = path
+
+    def getresponse(self):
+        if self._path.endswith("/config"):
+            return _FakeResponse(200, {"lease_seconds": 60.0, "max_attempts": 3})
+        self._calls.append(self)
+        action = self._script.pop(0)
+        if isinstance(action, BaseException):
+            raise action
+        if isinstance(action, int):
+            return _FakeResponse(action, {"error": f"status {action}"})
+        return _FakeResponse(200, action)
+
+    def close(self):
+        self.closed = True
+
+
+def _scripted_backend(monkeypatch, script):
+    """An HttpBackend whose connection replays ``script`` per non-config call.
+
+    ``script`` entries are exceptions (raised by the connection), HTTP
+    status codes (answered with that status) or payload dicts (answered with
+    200); ``GET /config`` is always answered so construction succeeds.
+    Returns (backend, calls, sleeps) where ``calls`` holds the connection
+    that carried each non-config round trip and ``sleeps`` records every
+    backoff duration (real sleeping disabled).
     """
-    import urllib.request
+    import http.client
 
     calls = []
     sleeps = []
 
-    def fake_urlopen(request, timeout=None):
-        if request.full_url.endswith("/config"):
-            return _FakeHttpResponse({"lease_seconds": 60.0, "max_attempts": 3})
-        calls.append(request.full_url)
-        action = script.pop(0)
-        if isinstance(action, BaseException):
-            raise action
-        return _FakeHttpResponse(action)
+    def connect(host, timeout=None):
+        return _FakeConnection(script, calls)
 
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(http.client, "HTTPConnection", connect)
     monkeypatch.setattr(time, "sleep", lambda seconds: sleeps.append(seconds))
     return HttpBackend("http://fake-coordinator:0"), calls, sleeps
 
 
-def _http_error(code):
-    import io
-    import urllib.error
-
-    return urllib.error.HTTPError("http://fake", code, "err", {}, io.BytesIO(b""))
-
-
 def test_http_retries_connection_resets_with_backoff(monkeypatch):
-    import urllib.error
-
-    script = [
-        urllib.error.URLError(ConnectionResetError("reset")),
-        urllib.error.URLError(ConnectionResetError("reset")),
-        {"ok": True},
-    ]
+    script = [ConnectionResetError("reset"), ConnectionResetError("reset"), {"ok": True}]
     backend, calls, sleeps = _scripted_backend(monkeypatch, script)
     assert backend.heartbeat("t1", "w1") is True
     assert len(calls) == 3
@@ -323,7 +337,7 @@ def test_http_retries_connection_resets_with_backoff(monkeypatch):
 
 
 def test_http_retries_502_and_503(monkeypatch):
-    script = [_http_error(502), _http_error(503), {"attempts": 2}]
+    script = [502, 503, {"attempts": 2}]
     backend, calls, sleeps = _scripted_backend(monkeypatch, script)
     assert backend.record_failure("t1", "w1", "boom") == 2
     assert len(calls) == 3
@@ -333,7 +347,7 @@ def test_http_retries_502_and_503(monkeypatch):
 def test_http_4xx_is_fatal_without_retry(monkeypatch):
     import urllib.error
 
-    script = [_http_error(400)]
+    script = [400]
     backend, calls, sleeps = _scripted_backend(monkeypatch, script)
     with pytest.raises(urllib.error.URLError, match="returned 400"):
         backend.heartbeat("t1", "w1")
@@ -345,12 +359,104 @@ def test_http_persistent_failure_raises_after_three_attempts(monkeypatch):
     import urllib.error
 
     script = [
-        urllib.error.URLError("refused"),
-        urllib.error.URLError("refused"),
-        urllib.error.URLError("refused"),
+        ConnectionRefusedError("refused"),
+        ConnectionRefusedError("refused"),
+        ConnectionRefusedError("refused"),
     ]
     backend, calls, sleeps = _scripted_backend(monkeypatch, script)
     with pytest.raises(urllib.error.URLError):
         backend.heartbeat("t1", "w1")
     assert len(calls) == 3
     assert len(sleeps) == 2
+
+
+def test_http_reset_keepalive_connection_is_replaced_on_retry(monkeypatch):
+    """A coordinator restart drops the kept-alive connection: the next call
+    fails once on it, then succeeds on a fresh connection."""
+    import http.client
+
+    script = [
+        {"ok": True},
+        http.client.RemoteDisconnected("Remote end closed connection without response"),
+        {"ok": True},
+    ]
+    backend, calls, sleeps = _scripted_backend(monkeypatch, script)
+    assert backend.heartbeat("t1", "w1") is True
+    assert backend.heartbeat("t1", "w1") is True
+    kept, reset, fresh = calls
+    assert kept is reset  # the first two requests shared one connection
+    assert reset.closed and fresh is not reset and not fresh.closed
+    assert len(sleeps) == 1  # the existing retry path, one backoff
+    backend.close()
+    assert fresh.closed
+
+
+# -- kept-alive connections against a live coordinator ----------------------------
+def test_stopped_coordinator_answers_nothing_and_a_restart_takes_over():
+    first, second = Coordinator(), Coordinator()
+    url = first.start()
+    try:
+        with HttpBackend(url) as backend:
+            backend.enqueue([make_point()])
+            assert backend.status().total == 1  # over a kept-alive connection
+            first.stop()
+            second.start(port=int(url.rsplit(":", 1)[1]))
+            # The stopped coordinator shut that connection: the next call
+            # reconnects and lands on the new, empty queue.
+            assert backend.status().total == 0
+    finally:
+        first.stop()
+        second.stop()
+
+
+def test_one_client_shared_by_eight_threads():
+    """Each thread talks over its own connection: no answer reaches another
+    caller, and every task is completed exactly once."""
+    coordinator = Coordinator()
+    backend = HttpBackend(coordinator.start())
+    points = [make_point(seed=seed) for seed in range(64)]
+    completed = {}  # task id -> workers that completed it
+    crossed = []  # heartbeat answers that do not fit the caller's lease
+    lock = threading.Lock()
+    deadline = time.monotonic() + 60.0
+
+    def churn(worker: str) -> None:
+        try:
+            while time.monotonic() < deadline:
+                record = backend.claim_next(worker)
+                if record is None:
+                    return
+                # The caller holds this lease; an impostor does not.
+                if not backend.heartbeat(record.task_id, worker):
+                    crossed.append((worker, record.task_id, "own lease refused"))
+                if backend.heartbeat(record.task_id, f"not-{worker}"):
+                    crossed.append((worker, record.task_id, "impostor accepted"))
+                backend.complete(record.task_id, record.point, None, worker)
+                with lock:
+                    completed.setdefault(record.task_id, []).append(worker)
+        finally:
+            backend.close()  # this thread's connection
+
+    try:
+        backend.enqueue(points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(f"w{index}",), daemon=True)
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert crossed == []
+        assert sorted(completed) == sorted(backend.task_id(point) for point in points)
+        assert all(len(workers) == 1 for workers in completed.values())
+        assert backend.status().all_done
+    finally:
+        backend.close()
+        coordinator.stop()

@@ -342,7 +342,9 @@ def test_distributed_experiment_export_matches_local_run(url, tmp_path, capsys):
     assert main(["experiment", *DISTRIBUTED_ARGS, "--replicates", "2",
                  "--url", url, "--queue-timeout", "60",
                  "--export", "csv", "--output", str(dist_csv)]) == 0
-    dist_table = capsys.readouterr().out
+    distributed = capsys.readouterr()
+    dist_table = distributed.out
+    assert "[cache] 14 hit(s), 0 miss(es)" in distributed.err  # 7 tasks x 2 replicates
     assert main(["experiment", *DISTRIBUTED_ARGS, "--replicates", "2",
                  "--workers", "2", "--no-cache",
                  "--export", "csv", "--output", str(local_csv)]) == 0

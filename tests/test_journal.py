@@ -1,7 +1,7 @@
 """Coordinator durability: the journal, its replay and restarts.
 
 Every test runs in-process with short leases.  A crash is simulated by
-closing the coordinator's socket without ``stop()``, which is all that
+closing the coordinator's sockets without ``stop()``, which is all that
 ``kill -9`` leaves behind: the journal holds exactly the lines flushed so
 far.
 """
@@ -42,11 +42,13 @@ def make_point(**overrides) -> PointSpec:
 def crash(coordinator: Coordinator) -> int:
     """Drop a coordinator without ``stop()``; returns the port it served on.
 
-    Its journal file stays open, as a killed process leaves it.
+    Its journal file stays open, as a killed process leaves it, and its
+    open connections are shut, as a killed process drops them.
     """
     server = coordinator._server
     port = server.server_address[1]
     server.shutdown()
+    server.close_connections()
     server.server_close()
     return port
 
@@ -75,6 +77,14 @@ def in_thread(target) -> threading.Thread:
     return thread
 
 
+def drain(backend: HttpBackend, worker_id: str, **kwargs):
+    """Run a worker in this thread, then close this thread's connection."""
+    try:
+        return Worker(backend, worker_id=worker_id, poll_interval=0.02).run(**kwargs)
+    finally:
+        backend.close()
+
+
 def test_restart_mid_drain_keeps_done_tasks_and_a_running_lease(tmp_path, monkeypatch):
     points = [make_point(seed=seed) for seed in (1, 2, 3)]
     local = ParallelRunner(workers=1).run_points(points)
@@ -86,9 +96,7 @@ def test_restart_mid_drain_keeps_done_tasks_and_a_running_lease(tmp_path, monkey
 
     started, resume = gate_first_execution(monkeypatch)
     held = []
-    worker = in_thread(
-        lambda: held.append(Worker(backend, worker_id="w1", poll_interval=0.02).run(max_tasks=1))
-    )
+    worker = in_thread(lambda: held.append(drain(backend, "w1", max_tasks=1)))
     assert started.wait(60)
     before = backend.status()
     assert (before.total, before.done, before.running) == (3, 1, 1)
@@ -112,6 +120,7 @@ def test_restart_mid_drain_keeps_done_tasks_and_a_running_lease(tmp_path, monkey
         assert DistributedRunner(backend, timeout=60.0).run_points(points) == local
     finally:
         resume.set()
+        backend.close()
         second.stop()
         first.backend.close()
 
@@ -141,6 +150,7 @@ def test_restart_keeps_failures_and_releases_and_stales_dead_leases(tmp_path):
         status = backend.status()
         assert (status.pending, status.stale) == (2, 1)
     finally:
+        backend.close()
         second.stop()
         first.backend.close()
 
@@ -152,7 +162,8 @@ def test_restart_keeps_failures_and_releases_and_stales_dead_leases(tmp_path):
 def test_torn_final_line_is_dropped_and_cut_off(tmp_path, tail):
     state = tmp_path / "state"
     coordinator = Coordinator(state_dir=state)
-    HttpBackend(coordinator.start()).enqueue([make_point(seed=1)])
+    with HttpBackend(coordinator.start()) as backend:
+        backend.enqueue([make_point(seed=1)])
     coordinator.stop()
     journal = state / "journal.jsonl"
     intact = journal.read_bytes()
@@ -161,9 +172,9 @@ def test_torn_final_line_is_dropped_and_cut_off(tmp_path, tail):
 
     coordinator = Coordinator(state_dir=state)
     assert journal.read_bytes() == intact  # cut before the next append
-    backend = HttpBackend(coordinator.start())
-    assert backend.status().total == 1
-    backend.enqueue([make_point(seed=2)])
+    with HttpBackend(coordinator.start()) as backend:
+        assert backend.status().total == 1
+        backend.enqueue([make_point(seed=2)])
     coordinator.stop()
     *lines, last = journal.read_bytes().split(b"\n")
     assert last == b"" and len(lines) == 2
@@ -179,10 +190,10 @@ def test_unreadable_result_file_leaves_its_task_pending(tmp_path, damage):
     point = make_point()
     state = tmp_path / "state"
     coordinator = Coordinator(state_dir=state)
-    backend = HttpBackend(coordinator.start())
-    backend.enqueue([point])
-    assert Worker(backend, worker_id="w1", poll_interval=0.02).run().executed == 1
-    result = backend.load_result(point)
+    with HttpBackend(coordinator.start()) as backend:
+        backend.enqueue([point])
+        assert Worker(backend, worker_id="w1", poll_interval=0.02).run().executed == 1
+        result = backend.load_result(point)
     coordinator.stop()
     assert ResultCache(state / "results").get(point) == result  # the cache layout
     result_file = state / "results" / f"{backend.task_id(point)}.json"
@@ -200,6 +211,7 @@ def test_unreadable_result_file_leaves_its_task_pending(tmp_path, damage):
         assert backend.load_result(point) == result == ParallelRunner().run_points([point])[0]
         assert ResultCache(state / "results").get(point) == result
     finally:
+        backend.close()
         coordinator.stop()
 
 
@@ -212,7 +224,8 @@ def test_unreadable_result_file_leaves_its_task_pending(tmp_path, damage):
 def test_corrupt_middle_line_stops_startup_naming_it(tmp_path, line, error):
     state = tmp_path / "state"
     coordinator = Coordinator(state_dir=state)
-    HttpBackend(coordinator.start()).enqueue([make_point(seed=1), make_point(seed=2)])
+    with HttpBackend(coordinator.start()) as backend:
+        backend.enqueue([make_point(seed=1), make_point(seed=2)])
     coordinator.stop()
     journal = state / "journal.jsonl"
     lines = journal.read_bytes().split(b"\n")
@@ -232,16 +245,13 @@ def test_silent_worker_loses_its_task_after_the_lease(tmp_path, monkeypatch):
     coordinator = Coordinator(lease_seconds=0.5, state_dir=tmp_path / "state")
     url = coordinator.start()
     started, resume = gate_first_execution(monkeypatch)
+    backend, silent = HttpBackend(url), HttpBackend(url)
     try:
-        backend = HttpBackend(url)
         backend.enqueue([point])
-        silent = HttpBackend(url)
         # Heartbeats "succeed" without ever reaching the coordinator.
         monkeypatch.setattr(silent, "heartbeat", lambda task_id, worker: True)
         held = []
-        worker = in_thread(
-            lambda: held.append(Worker(silent, worker_id="w1", poll_interval=0.02).run())
-        )
+        worker = in_thread(lambda: held.append(drain(silent, "w1")))
         assert started.wait(60)
         time.sleep(0.8)
         assert backend.status().stale == 1
@@ -256,6 +266,8 @@ def test_silent_worker_loses_its_task_after_the_lease(tmp_path, monkeypatch):
         assert DistributedRunner(backend, timeout=60.0).run_points([point]) == local
     finally:
         resume.set()
+        backend.close()
+        silent.close()
         coordinator.stop()
 
 
@@ -323,7 +335,7 @@ def test_concurrent_changes_replay_to_the_live_state(tmp_path):
         return {
             task_id: (queue.is_done(task_id), queue.attempts(task_id),
                       queue.last_error(task_id), queue.lease_state(task_id),
-                      queue.result_payload(task_id))
+                      queue.result_json(task_id))
             for task_id in queue.task_ids()
         }
 

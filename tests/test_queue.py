@@ -31,15 +31,20 @@ from repro.service import Coordinator
 
 @pytest.fixture
 def serve():
-    """Start coordinators on demand: ``serve(lease_seconds)`` -> a client."""
-    coordinators = []
+    """Start coordinators on demand: ``serve(lease_seconds)`` -> a client.
+
+    Clients and coordinators are closed at teardown."""
+    coordinators, clients = [], []
 
     def start(lease_seconds: float = 60.0) -> HttpBackend:
         coordinator = Coordinator(lease_seconds=lease_seconds)
         coordinators.append(coordinator)
-        return HttpBackend(coordinator.start())
+        clients.append(HttpBackend(coordinator.start()))
+        return clients[-1]
 
     yield start
+    for client in clients:
+        client.close()
     for coordinator in coordinators:
         coordinator.stop()
 
@@ -203,13 +208,17 @@ def test_two_workers_split_the_queue_without_duplication(queue):
     stats = [None, None]
 
     def drain(slot):
-        stats[slot] = Worker(queue, worker_id=f"w{slot}", poll_interval=0.02).run()
+        try:
+            stats[slot] = Worker(queue, worker_id=f"w{slot}", poll_interval=0.02).run()
+        finally:
+            queue.close()  # this thread's connection
 
     threads = [threading.Thread(target=drain, args=(slot,)) for slot in (0, 1)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
     assert queue.status().all_done
     # Every task ran exactly once across the two workers.
     assert stats[0].executed + stats[1].executed == 4
@@ -253,9 +262,15 @@ def test_interrupted_worker_releases_lease_without_burning_a_retry(queue, monkey
 
 # -- distributed runner -----------------------------------------------------------
 def drain_in_thread(queue, **kwargs):
-    thread = threading.Thread(
-        target=lambda: Worker(queue, poll_interval=0.02, **kwargs).run(), daemon=True
-    )
+    """Drain ``queue`` in a new thread, which closes its connection when done."""
+
+    def drain():
+        try:
+            Worker(queue, poll_interval=0.02, **kwargs).run()
+        finally:
+            queue.close()
+
+    thread = threading.Thread(target=drain, daemon=True)
     thread.start()
     return thread
 
@@ -290,6 +305,29 @@ def test_distributed_runner_replicates_aggregate_identically(queue):
     assert local.to_rows() == distributed.to_rows()
 
 
+def test_warm_rerun_makes_four_requests_for_any_sweep_size(queue, monkeypatch):
+    """A finished sweep re-renders in /config, /sweeps, /poll and /results,
+    however many points it has."""
+    result = ParallelRunner(workers=1).run_points([make_point()])[0]
+    points = [make_point(seed=seed) for seed in range(12)]
+    for point in points:
+        queue.results.put(point, result)  # a finished sweep
+    paths = []
+    call = HttpBackend._call
+
+    def counted(backend, method, path, payload=None):
+        paths.append(path)
+        return call(backend, method, path, payload)
+
+    monkeypatch.setattr(HttpBackend, "_call", counted)
+    for size in (1, 12):
+        paths.clear()
+        runner = DistributedRunner(queue.base_url, timeout=60.0, poll_interval=0.02)
+        assert runner.run_points(points[:size]) == [result] * size
+        assert paths == ["/config", "/sweeps", "/poll", "/results"]
+        assert (runner.cache.hits, runner.cache.misses) == (size, 0)
+
+
 def test_distributed_runner_times_out_without_workers(queue):
     runner = DistributedRunner(queue.base_url, timeout=0.2, poll_interval=0.02)
     with pytest.raises(TimeoutError) as excinfo:
@@ -312,8 +350,9 @@ def test_distributed_runner_surfaces_exhausted_tasks(queue):
 def test_distributed_runner_resumes_from_partial_queue(queue):
     spec = tiny_spec(strategies=("OPT-IO-CPU", "psu_opt+RANDOM"))
     runner = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
-    runner.dispatch(spec.points())
-    Worker(runner.queue, worker_id="w1", poll_interval=0.02).run(max_tasks=1)
+    with runner.queue:
+        runner.dispatch(spec.points())
+        Worker(runner.queue, worker_id="w1", poll_interval=0.02).run(max_tasks=1)
     # The client restarted later: only the missing point is outstanding.
     resumed = DistributedRunner(queue.base_url, timeout=120.0, poll_interval=0.02)
     summary = resumed.dispatch(spec.points())
@@ -329,7 +368,8 @@ def test_task_file_with_an_invalid_point_is_not_loadable(tmp_path):
     is invalid refuses the whole file, naming the line and the field."""
     state = tmp_path / "state"
     coordinator = Coordinator(state_dir=state)
-    HttpBackend(coordinator.start()).enqueue([make_point()])
+    with HttpBackend(coordinator.start()) as client:
+        client.enqueue([make_point()])
     coordinator.stop()
     journal = state / "journal.jsonl"
     record = json.loads(journal.read_text())

@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -44,6 +45,13 @@ def coordinator():
     coord.stop()
 
 
+@pytest.fixture
+def backend(coordinator):
+    """A client of ``coordinator``, closed at teardown."""
+    with HttpBackend(coordinator.url) as client:
+        yield client
+
+
 def scrape(coord: Coordinator) -> str:
     with urllib.request.urlopen(coord.url + "/metrics") as response:
         assert response.headers["Content-Type"].startswith("text/plain")
@@ -65,6 +73,46 @@ def refused(coord: Coordinator, path: str, body: dict) -> tuple:
 
 
 # -- prometheus renderer ----------------------------------------------------------
+def raw_exchange(coord: Coordinator, data: bytes) -> bytes:
+    """Send raw bytes on one connection; all that is read until it closes."""
+    with socket.create_connection(coord._server.server_address[:2], timeout=5.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def test_unparsable_content_length_is_refused_and_closes_the_connection(coordinator):
+    """The body behind a bad Content-Length is never parsed as the next
+    request: the 400 closes the connection."""
+    reply = raw_exchange(
+        coordinator,
+        b"POST /claim HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+        b'{"worker": "w"}'
+        b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n",
+    )
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.count(b"HTTP/1.1 ") == 1  # the pipelined GET is never read
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    assert "Content-Length" in json.loads(body)["error"]
+
+
+def test_negative_content_length_is_refused_before_reading(coordinator):
+    """Content-Length: -1 would read to EOF, which never comes while the
+    client keeps its connection open."""
+    reply = raw_exchange(
+        coordinator,
+        b"POST /claim HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n"
+        b'{"worker": "w"}',
+    )
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    assert "Content-Length" in json.loads(body)["error"]
+
+
 def test_metric_family_renders_exposition_format():
     family = MetricFamily("demo_gauge", "gauge", "A demo.")
     family.add({}, 1)
@@ -192,10 +240,9 @@ def test_heartbeat_streams_windows_before_completion(monkeypatch):
     heartbeat; the completion then overwrites them with equal values and
     counts none of them twice."""
     coordinator = Coordinator(lease_seconds=0.4)  # heartbeats every 0.1 s
-    coordinator.start()
+    backend = HttpBackend(coordinator.start())
     try:
         point = timeline_point(max_simulated_time=60.0)  # 12 windows of 5 s
-        backend = HttpBackend(coordinator.url)
         backend.enqueue([point])
         at_completion = []
         record_completion = coordinator.record_completion
@@ -220,12 +267,13 @@ def test_heartbeat_streams_windows_before_completion(monkeypatch):
         assert len(final) == 12
         assert "repro_windows_streamed_total 12" in text
     finally:
+        backend.close()
         coordinator.stop()
 
 
-def test_report_windows_is_ignored_for_unknown_tasks(coordinator):
+def test_report_windows_is_ignored_for_unknown_tasks(coordinator, backend):
     window = TimelineWindow(start=0.0, end=5.0)
-    HttpBackend(coordinator.url).report_windows("no-such-task", "w1", 0, [window])
+    backend.report_windows("no-such-task", "w1", 0, [window])
     text = scrape(coordinator)
     assert "repro_windows_streamed_total 0" in text
     assert validate_exposition(text)["repro_window_join_throughput"]["samples"] == 0
@@ -235,8 +283,7 @@ def test_report_windows_is_ignored_for_unknown_tasks(coordinator):
     "field, value",
     [("first", -1), ("first", True), ("first", "0"), ("windows", "nope"), ("windows", [1])],
 )
-def test_windows_endpoint_rejects_invalid_reports(coordinator, field, value):
-    backend = HttpBackend(coordinator.url)
+def test_windows_endpoint_rejects_invalid_reports(coordinator, backend, field, value):
     backend.enqueue([timeline_point()])
     report = {"task_id": backend.task_ids()[0], "worker": "w1", "first": 0, "windows": []}
     code, message = refused(coordinator, "/windows", dict(report, **{field: value}))
@@ -247,28 +294,47 @@ def test_windows_endpoint_rejects_invalid_reports(coordinator, field, value):
 @pytest.mark.parametrize(
     "path, value",
     [("/poll", "abc"), ("/poll", None), ("/poll", [1]), ("/poll", {"a": 1}),
-     ("/status", "abc"), ("/status", [None]), ("/status", 7)],
+     ("/status", "abc"), ("/status", [None]), ("/status", 7),
+     ("/results", "abc"), ("/results", None)],
     ids=["poll-string", "poll-null", "poll-int-item", "poll-object",
-         "status-string", "status-null-item", "status-int"],
+         "status-string", "status-null-item", "status-int",
+         "results-string", "results-null"],
 )
-def test_task_id_lists_are_validated_over_http(coordinator, path, value):
+def test_task_id_lists_are_validated_over_http(coordinator, backend, path, value):
     """A string is not a list of task ids: iterating it would poll (or
     report on) one task per character."""
-    backend = HttpBackend(coordinator.url)
     backend.enqueue([timeline_point()])
     code, message = refused(coordinator, path, {"task_ids": value})
     assert code == 400
     assert "task_ids" in message
 
 
-def test_window_gauges_keep_every_replicate(coordinator):
+def test_results_batch_returns_each_stored_result_once(coordinator, backend):
+    """``POST /results`` answers the stored subset of the ids it is given,
+    each once, as the payloads ``GET /results/<id>`` serves one by one."""
+    stored, missing = timeline_point(seed=1), timeline_point(seed=2)
+    result = ParallelRunner(workers=1).run_points([stored])[0]
+    backend.results.put(stored, result)
+    stored_id, missing_id = backend.task_id(stored), backend.task_id(missing)
+    response = backend._call(
+        "POST", "/results", {"task_ids": [missing_id, stored_id, stored_id]}
+    )
+    expected = json.dumps(result.to_dict(), sort_keys=True)  # NaN-safe comparison
+    assert list(response["results"]) == [stored_id]
+    assert json.dumps(response["results"][stored_id], sort_keys=True) == expected
+    single = backend._call("GET", f"/results/{stored_id}")
+    assert json.dumps(single["result"], sort_keys=True) == expected
+    assert backend.load_results([stored, missing, stored]) == [result, None, result]
+    assert backend.results.hits == 1  # one per result returned
+
+
+def test_window_gauges_keep_every_replicate(coordinator, backend):
     """Replicates of one (figure, series, x) point stream separate window
     gauges: none overwrites another's."""
     points = [
         timeline_point(max_simulated_time=20.0),  # 4 windows of 5 s
         timeline_point(max_simulated_time=20.0, replicate=1, seed=7),
     ]
-    backend = HttpBackend(coordinator.url)
     submission = backend._call(
         "POST",
         "/sweeps",
@@ -277,7 +343,7 @@ def test_window_gauges_keep_every_replicate(coordinator):
     results = ParallelRunner(workers=1).run_points(points)
     for point, result, task_id in zip(points, results, submission["task_ids"]):
         assert backend.try_claim(task_id, "w1")
-        backend.complete(task_id, point, result, "w1")
+        backend.complete(task_id, point, result.to_dict(), "w1")
 
     text = scrape(coordinator)
     families = validate_exposition(text)
@@ -300,9 +366,8 @@ def test_window_gauges_keep_every_replicate(coordinator):
     assert "repro_windows_streamed_total 8" in text
 
 
-def test_metrics_track_queue_states_and_workers(coordinator):
+def test_metrics_track_queue_states_and_workers(coordinator, backend):
     point = timeline_point(max_simulated_time=10.0)
-    backend = HttpBackend(coordinator.url)
     backend.enqueue([point])
     families = validate_exposition(scrape(coordinator))
     for required in (

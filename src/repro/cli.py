@@ -46,23 +46,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# Only the queue side loads with the parser: each subcommand imports what it
+# runs, so `serve` and `status` start without the simulator.
 from repro.config.parameters import OltpConfig, SystemConfig
-from repro.experiments import render_parameter_table
-from repro.runner import (
-    ParallelRunner,
-    RunnerConfig,
-    ScenarioSpec,
-    Sweep,
-    available_scenarios,
-    build_scenario,
-)
 from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
-from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
-from repro.scheduling.strategy import strategy_names
-from repro.simulation.driver import SimulationDriver
+from repro.runner.spec import DEFAULT_TIMELINE_WINDOW, ScenarioSpec, Sweep
 from repro.workload.arrivals import ARRIVAL_KINDS
+
+if TYPE_CHECKING:
+    from repro.runner.runner import ParallelRunner
 
 __all__ = ["main", "build_parser"]
 
@@ -147,6 +141,23 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _scenario_name(name: str) -> str:
+    """A registered scenario's name, checked when a subcommand is parsed.
+
+    Not ``choices=``: argparse reads the choices whenever it expands a help
+    string, which newer versions do as each argument is added, and filling
+    the registry imports every scenario module.
+    """
+    from repro.runner.registry import available_scenarios
+
+    names = available_scenarios()
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lb",
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--time-limit", type=float, default=120.0, help="simulated seconds cap")
 
     experiment = sub.add_parser("experiment", help="reproduce one of the paper's figures")
-    experiment.add_argument("figure", choices=available_scenarios(),
+    experiment.add_argument("figure", type=_scenario_name,
                             help="registered scenario to reproduce")
     experiment.add_argument("--joins", type=int, default=None, help="measured joins per point")
     experiment.add_argument("--sizes", type=int, nargs="*", default=None, help="system sizes")
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatch",
         help="enqueue a scenario's points on a coordinator (no execution)",
     )
-    dispatch.add_argument("figure", choices=available_scenarios(),
+    dispatch.add_argument("figure", type=_scenario_name,
                           help="registered scenario to enqueue")
     dispatch.add_argument("--url", required=True, metavar="URL",
                           help="`repro-lb serve` coordinator URL")
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one scenario point under cProfile and print the hottest entries",
     )
-    profile.add_argument("figure", choices=available_scenarios(),
+    profile.add_argument("figure", type=_scenario_name,
                          help="registered scenario to profile")
     profile.add_argument("--point", type=int, default=0, metavar="N",
                          help="index into the expanded point list (default 0; "
@@ -363,11 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_runner(args: argparse.Namespace) -> ParallelRunner:
+    from repro.runner.config import RunnerConfig
+
     return RunnerConfig.from_args(args).make_runner()
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
     from dataclasses import replace
+
+    from repro.simulation.driver import SimulationDriver
 
     oltp = None if args.oltp == "none" else OltpConfig(placement=args.oltp,
                                                        arrival_rate_per_node=args.oltp_tps)
@@ -442,6 +457,8 @@ def _experiment_spec(args: argparse.Namespace) -> ScenarioSpec:
     ``dispatch`` and ``experiment --url`` must expand identical
     point sets for the same axes, so both go through this one builder.
     """
+    from repro.runner.registry import build_scenario
+
     kwargs = {}
     if args.figure == "figure1":
         # Fig. 1 is a single-user sweep over the degree of parallelism.
@@ -554,10 +571,7 @@ def _run_worker(args: argparse.Namespace) -> int:
         worker = Worker(queue, worker_id=args.worker_id, poll_interval=args.poll)
         print(f"worker {worker.worker_id}: draining {queue.describe()}", file=sys.stderr)
         stats = worker.run(max_tasks=args.max_tasks)
-    print(
-        f"worker {worker.worker_id}: {stats.executed} executed, "
-        f"{stats.satisfied} satisfied from the result store, {stats.failed} failed"
-    )
+    print(f"worker {worker.worker_id}: {stats.executed} executed, {stats.failed} failed")
     return 0
 
 
@@ -837,6 +851,8 @@ def _build_adhoc_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from repro.scheduling.strategy import strategy_names
+
     known = set(strategy_names())
     unknown = [name for name in args.strategies if name not in known]
     if unknown:
@@ -886,10 +902,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list-strategies":
+        from repro.scheduling.strategy import strategy_names
+
         for name in strategy_names():
             print(name)
         return 0
     if args.command == "parameters":
+        from repro.experiments import render_parameter_table
+
         print(render_parameter_table())
         return 0
     if args.command == "simulate":

@@ -59,8 +59,9 @@ class ProcessingElement:
     def close_report_window(self) -> None:
         """Close the current CPU/disk measurement window (control node tick)."""
         self.cpu.close_window()
-        self._recent_disk_utilization = self.disks.utilization_since(self._disk_snapshot)
-        self._disk_snapshot = self.disks.snapshot()
+        current = self.disks.snapshot()
+        self._recent_disk_utilization = self.disks.utilization_since(self._disk_snapshot, current)
+        self._disk_snapshot = current
 
     @property
     def recent_cpu_utilization(self) -> float:

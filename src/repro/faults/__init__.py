@@ -3,30 +3,6 @@
 Declarative plans (:mod:`repro.faults.plan`) travel the experiment platform
 as the ``failures`` sweep axis; the runtime injector
 (:mod:`repro.faults.injector`) interprets them inside a running simulation.
+Import from those modules: the package re-exports nothing, so the sweep
+spec's ``import repro.faults.plan`` does not load the injector.
 """
-
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FailuresEntry,
-    FaultEvent,
-    canonical_failures,
-    decode_failures,
-    encode_failures,
-    expand_events,
-    failures_label,
-    parse_fault,
-)
-from repro.faults.injector import FaultRuntime
-
-__all__ = [
-    "FAULT_KINDS",
-    "FailuresEntry",
-    "FaultEvent",
-    "FaultRuntime",
-    "canonical_failures",
-    "decode_failures",
-    "encode_failures",
-    "expand_events",
-    "failures_label",
-    "parse_fault",
-]

@@ -627,10 +627,12 @@ class DiskArray:
         busy = sum(disk.busy_time() for disk in self.disks)
         return now, busy
 
-    def utilization_since(self, snapshot: Tuple[float, float]) -> float:
-        """Average utilisation across disks since ``snapshot``."""
+    def utilization_since(
+        self, snapshot: Tuple[float, float], current: Tuple[float, float]
+    ) -> float:
+        """Average utilisation across disks between two :meth:`snapshot` reads."""
         then, busy_then = snapshot
-        now, busy_now = self.snapshot()
+        now, busy_now = current
         elapsed = now - then
         if elapsed <= 0 or not self.disks:
             return 0.0

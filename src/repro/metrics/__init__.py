@@ -1,22 +1,17 @@
 """Metrics collection and summary statistics."""
 
-from repro.metrics.collector import MetricsCollector, UtilizationSnapshot
-from repro.metrics.prometheus import MetricFamily, render_families, validate_exposition
-from repro.metrics.timeline import (
-    Timeline,
-    TimelineCollector,
-    TimelineWindow,
-    aggregate_timelines,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricsCollector",
-    "UtilizationSnapshot",
-    "Timeline",
-    "TimelineCollector",
-    "TimelineWindow",
-    "aggregate_timelines",
-    "MetricFamily",
-    "render_families",
-    "validate_exposition",
-]
+# Defining module -> the names this package re-exports from it.  They
+# resolve on first access (PEP 562), so the coordinator's
+# ``import repro.metrics.prometheus`` loads no simulator code.
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.metrics.collector": ("MetricsCollector", "UtilizationSnapshot"),
+    "repro.metrics.timeline": (
+        "Timeline",
+        "TimelineCollector",
+        "TimelineWindow",
+        "aggregate_timelines",
+    ),
+    "repro.metrics.prometheus": ("MetricFamily", "render_families", "validate_exposition"),
+})

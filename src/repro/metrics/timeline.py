@@ -227,7 +227,8 @@ class TimelineCollector:
             )
         ]
         disk = [
-            pe.disks.utilization_since(snap) for pe, snap in zip(self.pes, baseline.disk)
+            pe.disks.utilization_since(then, now)
+            for pe, then, now in zip(self.pes, baseline.disk, current.disk)
         ]
         mem = [
             min(1.0, (c - b) / (elapsed * pages))

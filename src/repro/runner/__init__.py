@@ -26,54 +26,35 @@ from user-facing options (CLI flags, test fixtures, figure wrappers) to the
 serial / process-pool / distributed runner they describe.
 """
 
-from repro.runner.backends import HttpBackend, MemoryBackend
-from repro.runner.cache import ResultCache, default_cache_dir, point_key
-from repro.runner.config import RunnerConfig
-from repro.runner.distributed import DistributedRunner
-from repro.runner.registry import (
-    available_scenarios,
-    build_scenario,
-    get_scenario,
-    register_scenario,
-)
-from repro.runner.runner import (
-    ParallelRunner,
-    PointExecutionError,
-    execute_point,
-    execute_point_checked,
-)
-from repro.runner.spec import (
-    PointSpec,
-    ScenarioSpec,
-    Sweep,
-    derive_seed,
-    expand,
-    point_from_payload,
-)
-from repro.runner.worker import Worker, WorkerStats
+from repro import _lazy_exports
 
-__all__ = [
-    "DistributedRunner",
-    "HttpBackend",
-    "MemoryBackend",
-    "ParallelRunner",
-    "PointExecutionError",
-    "PointSpec",
-    "ResultCache",
-    "RunnerConfig",
-    "ScenarioSpec",
-    "Sweep",
-    "Worker",
-    "WorkerStats",
-    "available_scenarios",
-    "build_scenario",
-    "default_cache_dir",
-    "derive_seed",
-    "execute_point",
-    "execute_point_checked",
-    "expand",
-    "get_scenario",
-    "point_from_payload",
-    "point_key",
-    "register_scenario",
-]
+# Defining module -> the names this package re-exports from it.  They
+# resolve on first access (PEP 562), so importing the queue-side modules
+# (``spec``, ``cache``, ``backends``) loads no simulator code.
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runner.backends": ("HttpBackend", "MemoryBackend"),
+    "repro.runner.cache": ("ResultCache", "default_cache_dir", "point_key"),
+    "repro.runner.config": ("RunnerConfig",),
+    "repro.runner.distributed": ("DistributedRunner",),
+    "repro.runner.registry": (
+        "available_scenarios",
+        "build_scenario",
+        "get_scenario",
+        "register_scenario",
+    ),
+    "repro.runner.runner": (
+        "ParallelRunner",
+        "PointExecutionError",
+        "execute_point",
+        "execute_point_checked",
+    ),
+    "repro.runner.spec": (
+        "PointSpec",
+        "ScenarioSpec",
+        "Sweep",
+        "derive_seed",
+        "expand",
+        "point_from_payload",
+    ),
+    "repro.runner.worker": ("Worker", "WorkerStats"),
+})

@@ -40,9 +40,8 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.metrics.timeline import TimelineWindow
 from repro.runner.backends.base import (
     DEFAULT_MAX_ATTEMPTS,
     EnqueueSummary,
@@ -51,7 +50,10 @@ from repro.runner.backends.base import (
 )
 from repro.runner.cache import point_key
 from repro.runner.spec import PointSpec, point_from_payload
-from repro.simulation.results import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.metrics.timeline import TimelineWindow
+    from repro.simulation.results import SimulationResult
 
 __all__ = ["HttpBackend"]
 
@@ -88,11 +90,11 @@ def _task_record(payload: Dict[str, object]) -> TaskRecord:
 
 
 class _RemoteResults:
-    """Result-store adapter over ``GET /results/<id>`` and ``POST /results``.
+    """Result-store adapter over ``POST /results`` and ``POST /complete``.
 
-    Quacks like :class:`~repro.runner.cache.ResultCache` (``get``/``put``/
-    ``key``/``hits``/``misses``/``root``) so the distributed runner and the
-    CLI cache-stats line work unchanged over HTTP.
+    Quacks like :class:`~repro.runner.cache.ResultCache` (``put``/``key``/
+    ``hits``/``misses``/``root``) so the distributed runner and the CLI
+    cache-stats line work unchanged over HTTP.
     """
 
     def __init__(self, backend: "HttpBackend"):
@@ -107,17 +109,11 @@ class _RemoteResults:
     def key(self, point: PointSpec) -> str:
         return point_key(point)
 
-    def get(self, point: PointSpec) -> Optional[SimulationResult]:
-        payload = self._backend._get(f"/results/{self.key(point)}")
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return SimulationResult.from_dict(payload["result"])
-
     def get_many(self, points: Sequence[PointSpec]) -> List[Optional[SimulationResult]]:
         """Every stored result of ``points`` in one request; ``None`` where
         the store has none (one hit per result returned)."""
+        from repro.simulation.results import SimulationResult
+
         task_ids = [self.key(point) for point in points]
         response = self._backend._call(
             "POST", "/results", {"task_ids": list(dict.fromkeys(task_ids))}
@@ -355,10 +351,10 @@ class HttpBackend:
         self,
         task_id: str,
         point: PointSpec,
-        result: Optional[Dict[str, object]],
+        result: Dict[str, object],
         worker: str,
     ) -> None:
-        """Mark the task done, storing ``result`` (a ``to_dict()`` payload) when given."""
+        """Store ``result`` (a ``to_dict()`` payload) and mark the task done."""
         from dataclasses import asdict
 
         self._call(
@@ -372,9 +368,6 @@ class HttpBackend:
             "POST", "/fail", {"task_id": task_id, "worker": worker, "error": error}
         )
         return int((response or {}).get("attempts", 0) or 0)
-
-    def load_result(self, point: PointSpec) -> Optional[SimulationResult]:
-        return self._results.get(point)
 
     def load_results(self, points: Sequence[PointSpec]) -> List[Optional[SimulationResult]]:
         """The stored results of ``points`` (``None`` where none is), in one request."""

@@ -380,20 +380,19 @@ class MemoryBackend:
         self,
         task_id: str,
         worker: str,
-        result: Optional[dict] = None,
+        result: dict,
         point_payload: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Store ``result`` (a ``to_dict()`` payload) when given, mark the task
-        done and drop ``worker``'s lease.
+        """Store ``result`` (a ``to_dict()`` payload), mark the task done and
+        drop ``worker``'s lease.
 
         A durable queue writes the result file first; ``point_payload``
         names the file's point for a task not enqueued here.
         """
         with self._lock:
-            if result is not None:
-                if self._results is not None:
-                    self._results.put_payload(self._point_of(task_id, point_payload), result)
-                self._results_json[task_id] = _encode(result)
+            if self._results is not None:
+                self._results.put_payload(self._point_of(task_id, point_payload), result)
+            self._results_json[task_id] = _encode(result)
             self._mark_done(task_id, worker)
 
     def _point_of(self, task_id: str, payload: Optional[Dict[str, object]]) -> PointSpec:

@@ -21,10 +21,12 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.runner.spec import PointSpec
-from repro.simulation.results import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.simulation.results import SimulationResult
 
 __all__ = ["ResultCache", "default_cache_dir", "point_key", "write_json_atomic"]
 
@@ -96,6 +98,8 @@ class ResultCache:
         return self.root / f"{self.key(point)}.json"
 
     def get(self, point: PointSpec) -> Optional[SimulationResult]:
+        from repro.simulation.results import SimulationResult
+
         path = self.path(point)
         try:
             data = json.loads(path.read_text())

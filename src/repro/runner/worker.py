@@ -5,7 +5,10 @@ its :class:`~repro.runner.backends.http.HttpBackend` client: it claims one
 task at a time, executes the point through the same
 ``execute_point``/``to_dict`` path as :class:`~repro.runner.runner.ParallelRunner`
 (so results are bit-identical no matter which driver ran them), hands the
-result to the coordinator and so marks the task done.
+result to the coordinator and so marks the task done.  A task costs two
+requests, the claim and the completion (plus heartbeats while it runs): the
+worker does not ask for a stored result first, because the coordinator
+never hands out a task whose result it holds.
 
 While a task runs, a daemon thread refreshes the lease heartbeat every
 ``lease_seconds / 4`` and then reports the timeline windows the run closed
@@ -49,7 +52,10 @@ class WorkerStats:
     """What one :meth:`Worker.run` call did."""
 
     executed: int = 0  # points simulated by this worker
-    satisfied: int = 0  # tasks completed straight from the result store
+    # Always 0: a claimable task never has a stored result (the coordinator
+    # stores a result and marks its task done in one step, and never hands
+    # out a done task).  Kept because perfbench/child.py reads it.
+    satisfied: int = 0
     failed: int = 0  # attempts that raised (retry budget permitting)
 
     @property
@@ -132,13 +138,6 @@ class Worker:
 
     def _run_claimed(self, task: TaskRecord, stats: WorkerStats) -> None:
         task_id = task.task_id
-        cached = self.queue.load_result(task.point)
-        if cached is not None:
-            # Result already in the store (an interrupted worker got this
-            # far, or a previous dispatch shared the point): just mark done.
-            self.queue.complete(task_id, task.point, None, self.worker_id)
-            stats.satisfied += 1
-            return
         heartbeat = _Heartbeat(self.queue, task_id, self.worker_id, self.heartbeat_interval)
         heartbeat.start()
         token = live_windows.set(heartbeat.windows)

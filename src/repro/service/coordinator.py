@@ -214,14 +214,16 @@ class Coordinator:
         self,
         task_id: str,
         point_payload: Optional[Dict[str, object]],
-        result_payload: Optional[Dict[str, object]],
+        result_payload: Dict[str, object],
         worker: str,
     ) -> None:
         """Store a finished task's result and fold it into the gauges."""
+        if not isinstance(result_payload, dict):
+            raise ValueError("'result' must be a result object")
         with self._lock:
             self.backend.complete(task_id, worker, result_payload, point_payload)
             self._counters["results_received"] += 1
-            timeline = (result_payload or {}).get("timeline")
+            timeline = result_payload.get("timeline")
             if timeline and point_payload:
                 self._fold_windows(point_payload, 0, timeline.get("windows") or [])
 

@@ -1,60 +1,32 @@
 """Workload model: query classes, arrival generation, routing, OLTP, traces."""
 
-from repro.workload.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    DeterministicArrivals,
-    OnOffArrivals,
-    PoissonArrivals,
-    SinusoidalArrivals,
-    StepArrivals,
-    TraceArrivals,
-    make_arrival_process,
-)
-from repro.workload.generator import (
-    WorkloadClass,
-    WorkloadGenerator,
-    WorkloadSpec,
-)
-from repro.workload.query import (
-    JoinQuery,
-    OltpTransaction,
-    QueryClass,
-    ScanQuery,
-    Transaction,
-    UpdateStatement,
-)
-from repro.workload.router import AffinityRouter, RandomRouter, RoundRobinRouter, Router
-from repro.workload.tpcb import OltpCostProfile, build_cost_profile
-from repro.workload.traces import Trace, TraceRecord, TraceReplayer, generate_trace
+from repro import _lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "DeterministicArrivals",
-    "OnOffArrivals",
-    "PoissonArrivals",
-    "SinusoidalArrivals",
-    "StepArrivals",
-    "TraceArrivals",
-    "make_arrival_process",
-    "WorkloadClass",
-    "WorkloadGenerator",
-    "WorkloadSpec",
-    "JoinQuery",
-    "OltpTransaction",
-    "QueryClass",
-    "ScanQuery",
-    "Transaction",
-    "UpdateStatement",
-    "AffinityRouter",
-    "RandomRouter",
-    "RoundRobinRouter",
-    "Router",
-    "OltpCostProfile",
-    "build_cost_profile",
-    "Trace",
-    "TraceRecord",
-    "TraceReplayer",
-    "generate_trace",
-]
+# Defining module -> the names this package re-exports from it.  They
+# resolve on first access (PEP 562), so ``import repro.workload.arrivals``
+# (which the sweep spec needs) loads no simulator code.
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workload.arrivals": (
+        "ARRIVAL_KINDS",
+        "ArrivalProcess",
+        "DeterministicArrivals",
+        "OnOffArrivals",
+        "PoissonArrivals",
+        "SinusoidalArrivals",
+        "StepArrivals",
+        "TraceArrivals",
+        "make_arrival_process",
+    ),
+    "repro.workload.generator": ("WorkloadClass", "WorkloadGenerator", "WorkloadSpec"),
+    "repro.workload.query": (
+        "JoinQuery",
+        "OltpTransaction",
+        "QueryClass",
+        "ScanQuery",
+        "Transaction",
+        "UpdateStatement",
+    ),
+    "repro.workload.router": ("AffinityRouter", "RandomRouter", "RoundRobinRouter", "Router"),
+    "repro.workload.tpcb": ("OltpCostProfile", "build_cost_profile"),
+    "repro.workload.traces": ("Trace", "TraceRecord", "TraceReplayer", "generate_trace"),
+})

@@ -91,7 +91,7 @@ def test_preseeded_result_marks_task_done(backend_factory):
     summary = backend.enqueue([point])
     assert summary.already_done == 1
     assert backend.is_done(backend.task_id(point))
-    assert backend.load_result(point) == result
+    assert backend.load_results([point]) == [result]
 
 
 # -- leases -----------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_resume_after_kill_drains_and_matches_local_run(backend_factory, monkeyp
     stats = Worker(backend, worker_id="w2", poll_interval=0.02).run()
     assert stats.executed == 1
     assert backend.status().all_done
-    assert backend.load_result(point) == ParallelRunner(workers=1).run_points([point])[0]
+    assert backend.load_results([point]) == ParallelRunner(workers=1).run_points([point])
 
 
 # -- wait loop --------------------------------------------------------------------
@@ -227,11 +227,11 @@ def test_wait_backs_off_exponentially_and_resets_on_progress(backend_factory, mo
         if len(sleeps) == 4:
             # Progress mid-wait: the next idle probe snaps back to the floor.
             backend.complete(
-                backend.task_id(done_point), done_point, None, worker="w1"
+                backend.task_id(done_point), done_point, {"seed": 1}, worker="w1"
             )
         if len(sleeps) == 6:
             backend.complete(
-                backend.task_id(slow_point), slow_point, None, worker="w1"
+                backend.task_id(slow_point), slow_point, {"seed": 2}, worker="w1"
             )
 
     monkeypatch.setattr("repro.runner.backends.base.time.sleep", fake_sleep)
@@ -431,7 +431,8 @@ def test_one_client_shared_by_eight_threads():
                     crossed.append((worker, record.task_id, "own lease refused"))
                 if backend.heartbeat(record.task_id, f"not-{worker}"):
                     crossed.append((worker, record.task_id, "impostor accepted"))
-                backend.complete(record.task_id, record.point, None, worker)
+                result = {"seed": record.point.seed}
+                backend.complete(record.task_id, record.point, result, worker)
                 with lock:
                     completed.setdefault(record.task_id, []).append(worker)
         finally:

@@ -169,10 +169,23 @@ def test_output_without_export_is_rejected():
               "--output", "results.csv", "--no-cache"])
 
 
-def test_parser_rejects_unknown_figure():
+def test_parser_rejects_unknown_figure(capsys):
+    # The registry is read when a scenario argument is parsed, not when the
+    # parser is built; the error still names the token and the choices.
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["experiment", "figure42"])
+    for argv in (["experiment", "figure42"], ["dispatch", "figure42", "--url", "U"],
+                 ["profile", "figure42"]):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: 'figure42'" in error
+        assert "figure5" in error.split("choose from", 1)[1]
+    for argv in (["--help"], ["serve", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 0
+        assert "usage: repro-lb" in capsys.readouterr().out
 
 
 def test_parser_rejects_bad_override():

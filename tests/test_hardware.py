@@ -240,7 +240,7 @@ def test_disk_utilization_accounting():
 
     env.process(io())
     env.run(until=0.1)
-    assert 0.0 < disks.utilization_since(snapshot) < 1.0
+    assert 0.0 < disks.utilization_since(snapshot, disks.snapshot()) < 1.0
     assert disks.pages_written == 4
 
 

@@ -193,7 +193,7 @@ def test_unreadable_result_file_leaves_its_task_pending(tmp_path, damage):
     with HttpBackend(coordinator.start()) as backend:
         backend.enqueue([point])
         assert Worker(backend, worker_id="w1", poll_interval=0.02).run().executed == 1
-        result = backend.load_result(point)
+        (result,) = backend.load_results([point])
     coordinator.stop()
     assert ResultCache(state / "results").get(point) == result  # the cache layout
     result_file = state / "results" / f"{backend.task_id(point)}.json"
@@ -208,7 +208,7 @@ def test_unreadable_result_file_leaves_its_task_pending(tmp_path, damage):
         status = backend.status()
         assert (status.total, status.done, status.pending) == (1, 0, 1)
         assert Worker(backend, worker_id="w2", poll_interval=0.02).run().executed == 1
-        assert backend.load_result(point) == result == ParallelRunner().run_points([point])[0]
+        assert backend.load_results([point]) == [result] == ParallelRunner().run_points([point])
         assert ResultCache(state / "results").get(point) == result
     finally:
         backend.close()

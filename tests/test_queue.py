@@ -182,7 +182,7 @@ def test_worker_drains_queue_and_results_match_local_run(queue):
     stats = Worker(queue, worker_id="w1", poll_interval=0.05).run()
     assert stats.executed == 2 and stats.failed == 0
     assert queue.status().all_done
-    stored = [queue.load_result(point) for point in spec.points()]
+    stored = queue.load_results(spec.points())
     assert stored == local  # bit-identical to the in-process runner
 
 
@@ -326,6 +326,32 @@ def test_warm_rerun_makes_four_requests_for_any_sweep_size(queue, monkeypatch):
         assert runner.run_points(points[:size]) == [result] * size
         assert paths == ["/config", "/sweeps", "/poll", "/results"]
         assert (runner.cache.hits, runner.cache.misses) == (size, 0)
+
+
+def test_worker_makes_two_requests_per_task(serve, monkeypatch):
+    """N tasks drain in 2N + 2 requests: N + 1 claims, N completions and the
+    status probe that finds the queue drained -- no stored-result check
+    before each run."""
+    data = ParallelRunner(workers=1).run_points([make_point()])[0].to_dict()
+    monkeypatch.setattr("repro.runner.worker.execute_point_checked", lambda point: data)
+    points = [make_point(seed=seed) for seed in range(12)]
+    paths = []
+    call = HttpBackend._call
+
+    def counted(backend, method, path, payload=None):
+        paths.append(path)
+        return call(backend, method, path, payload)
+
+    monkeypatch.setattr(HttpBackend, "_call", counted)
+    for size in (1, 12):
+        queue = serve()
+        queue.enqueue(points[:size])
+        paths.clear()
+        stats = Worker(queue, worker_id="w1", poll_interval=0.02).run()
+        assert (stats.executed, stats.failed) == (size, 0)
+        assert len(paths) == 2 * size + 2
+        assert (paths.count("/claim"), paths.count("/complete")) == (size + 1, size)
+        assert paths[-1] == "/status"
 
 
 def test_distributed_runner_times_out_without_workers(queue):

@@ -64,6 +64,34 @@ def test_control_node_periodic_reporting():
     assert control.reports == 10
 
 
+def test_report_tick_reads_each_pe_disks_once(monkeypatch):
+    """A report computes each PE's disk utilisation from one snapshot of its
+    disks: the value a second read at the same instant would give."""
+    from repro.hardware.disk import DiskArray
+
+    env, config, pes, control, cost_model = build_system(num_pe=4)
+
+    def io():
+        yield from pes[0].disks.read_sequential(8)
+
+    env.process(io())
+    env.run(until=0.05)
+    snapshot = DiskArray.snapshot
+    read = []
+
+    def counted(disks):
+        read.append(disks)
+        return snapshot(disks)
+
+    monkeypatch.setattr(DiskArray, "snapshot", counted)
+    control.collect_reports()
+    assert sorted(map(id, read)) == sorted(id(pe.disks) for pe in pes)
+    monkeypatch.undo()
+    busy = pes[0].disks.utilization_since((0.0, 0.0), pes[0].disks.snapshot())
+    assert 0.0 < busy == control.status_of(0).disk_utilization
+    assert control.status_of(1).disk_utilization == 0.0
+
+
 def test_avail_memory_sorted_descending():
     env, config, pes, control, cost_model = build_system(num_pe=4)
     # Occupy buffer pages on PE 2.

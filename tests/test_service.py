@@ -259,7 +259,7 @@ def test_heartbeat_streams_windows_before_completion(monkeypatch):
         assert streamed, "no window reached /metrics before the completion"
         assert "repro_results_received_total 0" in before
 
-        result = backend.load_result(point)
+        (result,) = backend.load_results([point])
         text = scrape(coordinator)
         final = throughputs(text)
         assert final == dict(enumerate(result.timeline.series("join_throughput")))
@@ -307,6 +307,22 @@ def test_task_id_lists_are_validated_over_http(coordinator, backend, path, value
     code, message = refused(coordinator, path, {"task_ids": value})
     assert code == 400
     assert "task_ids" in message
+
+
+@pytest.mark.parametrize("result", [None, "done", [1]], ids=["null", "string", "list"])
+def test_complete_without_a_result_object_is_refused(coordinator, backend, result):
+    """A completion stores its result and marks the task done in one step:
+    one without a result leaves the task claimable and counts nothing."""
+    point = timeline_point()
+    backend.enqueue([point])
+    record = backend.claim_next("w1")
+    body = {"task_id": record.task_id, "point": point_payload(point), "worker": "w1"}
+    for request in (dict(body, result=result), body):
+        code, message = refused(coordinator, "/complete", request)
+        assert code == 400
+        assert "result" in message
+    assert not backend.is_done(record.task_id)
+    assert "repro_results_received_total 0" in scrape(coordinator)
 
 
 def test_results_batch_returns_each_stored_result_once(coordinator, backend):

@@ -70,6 +70,39 @@ def test_run_timed_partial_final_window():
     assert [w.end - w.start for w in windows] == pytest.approx([2.0, 2.0, 1.0])
 
 
+def test_window_close_reads_each_pe_disks_once(monkeypatch):
+    """A window's disk utilisation comes from the snapshot that closes it."""
+    from repro.config import SystemConfig
+    from repro.engine import ProcessingElement
+    from repro.hardware.disk import DiskArray
+    from repro.metrics import TimelineCollector
+    from repro.sim import Environment
+
+    env = Environment()
+    config = SystemConfig(num_pe=3)
+    pes = [ProcessingElement(env, pe_id=index, config=config) for index in range(3)]
+    collector = TimelineCollector(env, pes, window=0.1)
+    collector.start()
+
+    def io():
+        yield from pes[0].disks.read_sequential(8)
+
+    env.process(io())
+    snapshot = DiskArray.snapshot
+    read = []
+
+    def counted(disks):
+        read.append((disks, snapshot(disks)))
+        return read[-1][1]
+
+    monkeypatch.setattr(DiskArray, "snapshot", counted)
+    env.run(until=0.15)  # closes the window [0, 0.1)
+    assert sorted(id(disks) for disks, _ in read) == sorted(id(pe.disks) for pe in pes)
+    [window] = collector.windows
+    [closing] = [taken for disks, taken in read if disks is pes[0].disks]
+    assert 0.0 < window.disk_util_max == pes[0].disks.utilization_since((0.0, 0.0), closing)
+
+
 def test_run_timed_rejects_bad_duration():
     config = homogeneous_config(2, seed=42)
     with pytest.raises(ValueError):

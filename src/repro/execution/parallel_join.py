@@ -54,13 +54,11 @@ def _scan_sites(system, relation):
     ring).  Falls back to the primaries when no alive copy exists -- the
     fault runtime holds such queries before they reach execution.
     """
-    faults = getattr(system, "faults", None)
-    if faults is not None and relation.backups:
-        dead = faults.dead_pes()
-        if dead:
-            sites = failover_scan_sites(relation, dead)
-            if sites is not None:
-                return sites
+    dead = system.faults.dead_pes()
+    if dead and relation.backups:
+        sites = failover_scan_sites(relation, dead)
+        if sites is not None:
+            return sites
     return [(pe_id, None, 1.0) for pe_id in relation.node_ids]
 
 

@@ -9,8 +9,8 @@ load-balancing strategy (OPT-IO-CPU) against a tuned static baseline.
 
 Named fault plans (injected at t=15 of a 60 s run):
 
-* ``none`` -- the control: no fault plan at all.  Byte-identical to a run
-  of the pre-fault code path (the empty plan constructs no injector).
+* ``none`` -- the control: an empty plan, so the fault runtime injects
+  nothing and schedules no event.
 * ``crash`` -- PE 1 crashes at 15 s and recovers at 30 s.  In-flight work
   on the dead PE aborts and resubmits after recovery; the dynamic strategy
   routes around the hole while the static baseline keeps a degree tuned

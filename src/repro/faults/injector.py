@@ -11,9 +11,11 @@ The runtime also owns the observability side: an availability step
 function and labeled anomaly windows, folded into per-window timeline
 rows (``availability`` / ``anomaly``) by the timeline collector.
 
-Construction discipline: a :class:`FaultRuntime` is only ever built for a
-*non-empty* plan.  Zero-fault systems carry ``faults = None`` and take the
-exact historical code paths.
+Every system builds a :class:`FaultRuntime`.  An empty plan injects
+nothing: the runtime starts no injector process and so schedules no
+event, and its gates admit every transaction unchanged.  Its registry of
+in-flight transactions is pruned as it grows, so on any run it holds
+about twice the live transactions.
 """
 
 from __future__ import annotations
@@ -27,15 +29,30 @@ from repro.workload.query import JoinQuery, Transaction
 
 __all__ = ["FaultRuntime"]
 
+#: Registry size below which ``track`` never prunes.
+_MIN_PRUNE_AT = 64
+
+
+def _overlaps(steps, start: float, end: float):
+    """``(step, length)`` for each step of a ``(time, ...)`` step function
+    that overlaps the window [start, end), ``length`` being the overlap."""
+    for index, step in enumerate(steps):
+        seg_start = step[0] if step[0] > start else start
+        seg_end = steps[index + 1][0] if index + 1 < len(steps) else end
+        if seg_end > end:
+            seg_end = end
+        if seg_end > seg_start:
+            yield step, seg_end - seg_start
+
 
 class _TxnRecord:
     """Registry entry for one in-flight transaction."""
 
     __slots__ = ("txn", "pes", "group")
 
-    def __init__(self, txn: Transaction, pes):
+    def __init__(self, txn: Transaction, pes: set):
         self.txn = txn
-        self.pes = set(pes)
+        self.pes = pes
         #: Insertion-ordered dict used as an ordered set of live processes
         #: (the root process plus every descendant, via group inheritance
         #: in the simulation kernel).  Processes remove themselves on
@@ -57,8 +74,6 @@ class FaultRuntime:
     """Interprets a fault plan against a live system."""
 
     def __init__(self, system, events: Sequence[FaultEvent]):
-        if not events:
-            raise ValueError("FaultRuntime requires a non-empty fault plan")
         self.system = system
         self.env = system.env
         self.events: List[FaultEvent] = expand_events(events)
@@ -85,6 +100,8 @@ class FaultRuntime:
         self._base_cpu = [pe.cpu.config for pe in system.pes]
         self._base_disk = [pe.disks.config for pe in system.pes]
         self._records: Dict[int, _TxnRecord] = {}
+        # ``track`` prunes finished records once the registry outgrows this.
+        self._prune_at = _MIN_PRUNE_AT
         self._held: List[Transaction] = []
         self._windows: List[_AnomalyWindow] = []
         self._steps: List[Tuple[float, int, int]] = []
@@ -112,7 +129,8 @@ class FaultRuntime:
         if self._started:
             return
         self._started = True
-        self.env.process(self._injector_loop())
+        if self.events:
+            self.env.process(self._injector_loop())
 
     def _injector_loop(self):
         env = self.env
@@ -141,17 +159,18 @@ class FaultRuntime:
 
     def dead_pes(self) -> FrozenSet[int]:
         """PEs currently crashed (empty set when everything is alive)."""
-        return frozenset(
-            pe_id for pe_id, alive in enumerate(self.alive) if not alive
-        )
+        return self._dead
 
     # -- availability / anomaly bookkeeping -----------------------------------
     def _step(self, time: float) -> None:
-        alive_joined = sum(
-            1 for pe_id in range(len(self.alive)) if self.alive[pe_id] and self.joined[pe_id]
+        """Refresh the membership views after ``alive``/``joined`` changed,
+        and record one step of the availability step functions."""
+        alive, joined = self.alive, self.joined
+        self._dead = frozenset(pe_id for pe_id, up in enumerate(alive) if not up)
+        self._eligible = tuple(
+            pe_id for pe_id, (up, member) in enumerate(zip(alive, joined)) if up and member
         )
-        joined = sum(1 for flag in self.joined if flag)
-        self._steps.append((time, alive_joined, joined))
+        self._steps.append((time, len(self._eligible), sum(joined)))
         self._data_steps.append((time, self._data_fraction()))
 
     def _data_fraction(self) -> float:
@@ -193,16 +212,9 @@ class FaultRuntime:
         """
         numerator = 0.0
         denominator = 0.0
-        steps = self._steps
-        for index, (time, alive_joined, joined) in enumerate(steps):
-            seg_start = time if time > start else start
-            seg_end = steps[index + 1][0] if index + 1 < len(steps) else end
-            if seg_end > end:
-                seg_end = end
-            if seg_end <= seg_start:
-                continue
-            numerator += alive_joined * (seg_end - seg_start)
-            denominator += joined * (seg_end - seg_start)
+        for (_, alive_joined, joined), length in _overlaps(self._steps, start, end):
+            numerator += alive_joined * length
+            denominator += joined * length
         availability = numerator / denominator if denominator > 0 else 1.0
         labels = sorted(
             {
@@ -223,26 +235,15 @@ class FaultRuntime:
         """
         numerator = 0.0
         duration = 0.0
-        steps = self._data_steps
-        for index, (time, fraction) in enumerate(steps):
-            seg_start = time if time > start else start
-            seg_end = steps[index + 1][0] if index + 1 < len(steps) else end
-            if seg_end > end:
-                seg_end = end
-            if seg_end <= seg_start:
-                continue
-            numerator += fraction * (seg_end - seg_start)
-            duration += seg_end - seg_start
+        for (_, fraction), length in _overlaps(self._data_steps, start, end):
+            numerator += fraction * length
+            duration += length
         return numerator / duration if duration > 0 else 1.0
 
     # -- scheduling hooks ------------------------------------------------------
     def eligible_processors(self) -> Tuple[int, ...]:
         """PEs currently usable as join processors (alive and in the pool)."""
-        return tuple(
-            pe_id
-            for pe_id in range(len(self.alive))
-            if self.alive[pe_id] and self.joined[pe_id]
-        )
+        return self._eligible
 
     def _next_eligible(self, pe: int) -> Optional[int]:
         """Cyclically next alive-and-joined PE after ``pe`` (None if none)."""
@@ -332,6 +333,8 @@ class FaultRuntime:
         record.group[process] = None
         process._group = record.group
         self._records[transaction.txn_id] = record
+        if len(self._records) > self._prune_at:
+            self._prune_registry()
 
     def note_plan(self, query: JoinQuery, processors: Sequence[int]) -> None:
         """Extend a join's PE set with its chosen join processors."""
@@ -340,11 +343,17 @@ class FaultRuntime:
             record.pes.update(processors)
 
     def _prune_registry(self) -> None:
-        done = [
-            txn_id for txn_id, record in self._records.items() if not record.group
-        ]
-        for txn_id in done:
-            del self._records[txn_id]
+        """Drop the records of finished transactions (empty kill-groups).
+
+        Crashes and drains prune before they read the registry, and
+        ``note_plan`` reads only its own live record, so when a prune runs
+        cannot change an outcome.  ``track`` prunes whenever the registry
+        doubles, which bounds it at about twice the live transactions.
+        """
+        self._records = {
+            txn_id: record for txn_id, record in self._records.items() if record.group
+        }
+        self._prune_at = max(_MIN_PRUNE_AT, 2 * len(self._records))
 
     # -- hardware speed control --------------------------------------------------
     def _apply_speed(self, pe_id: int) -> None:
@@ -501,15 +510,8 @@ class FaultRuntime:
     def _resubmit(self, transaction: Transaction) -> None:
         """Re-run a killed/held transaction, bypassing the arrival routers
         (their RNG streams must only advance once per original arrival)."""
-        if not self.on_submit(transaction):
-            return
-        self.resubmits += 1
-        system = self.system
-        if isinstance(transaction, JoinQuery):
-            process = self.env.process(system._run_join(transaction))
-        else:
-            process = self.env.process(system._run_oltp(transaction))
-        self.track(transaction, process)
+        if self.system._launch(transaction):
+            self.resubmits += 1
 
     def _apply_pe_recover(self, event: FaultEvent) -> None:
         targets = self._targets(event)

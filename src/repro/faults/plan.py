@@ -43,10 +43,11 @@ Event kinds (:data:`FAULT_KINDS`):
     work immediately but stays until its in-flight transactions complete
     (zero aborts), then rebalances out.
 
-Zero-fault discipline: an empty (or ``None``) plan canonicalises to ``None``
-and constructs *nothing* -- no injector process, no extra events, no changed
-code paths -- so fault-free runs stay byte-identical to the committed
-goldens.
+An empty (or ``None``) plan canonicalises to ``None``, so fault-free points
+keep their seeds and cache keys.  Every run interprets its plan through the
+one fault runtime; an empty plan injects nothing and schedules no event, so
+fault-free runs stay byte-identical to the committed goldens.  Plans apply
+to multi-user and timed runs only: single-user joins bypass the runtime.
 """
 
 from __future__ import annotations

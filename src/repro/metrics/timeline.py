@@ -163,14 +163,14 @@ class TimelineCollector:
     window, then :meth:`to_timeline` for the serialisable record.
     """
 
-    def __init__(self, env: Environment, pes, window: float, faults=None):
+    def __init__(self, env: Environment, pes, window: float, faults):
         if window <= 0:
             raise ValueError(f"timeline window must be positive, got {window}")
         self.env = env
         self.pes = list(pes)
         self.window = float(window)
-        # Optional fault-injection runtime; when attached, closed windows
-        # carry per-window availability and anomaly labels.
+        # The run's fault runtime: closed windows carry its per-window
+        # availability and anomaly labels (1.0 and "" on a clean run).
         self._faults = faults
         # Per-PE capacities are invariant across windows; compute them once
         # instead of per window close (windows can be short and PEs many).
@@ -248,12 +248,8 @@ class TimelineCollector:
             )
             for name, indices in self._class_groups
         )
-        if self._faults is not None:
-            availability, anomaly = self._faults.window_stats(start, end)
-            effective_availability = self._faults.data_availability(start, end)
-        else:
-            availability, anomaly = 1.0, ""
-            effective_availability = 1.0
+        availability, anomaly = self._faults.window_stats(start, end)
+        effective_availability = self._faults.data_availability(start, end)
         rts = sorted(self._join_rts)
         self.windows.append(
             TimelineWindow(

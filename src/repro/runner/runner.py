@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.faults.plan import decode_failures
 from repro.runner.cache import ResultCache
 from repro.runner.spec import DEFAULT_NUM_QUERIES, PointSpec, ScenarioSpec
 from repro.simulation.results import SimulationResult
@@ -186,14 +187,7 @@ def run_point_spec(point: PointSpec) -> SimulationResult:
     from repro.workload.traces import generate_trace, parse_trace
 
     config = build_config(point)
-    # Decode the point's fault plan once; ``None`` (the fault-free case)
-    # constructs no injector at all, keeping the historical code paths.
-    if point.failures:
-        from repro.faults.plan import decode_failures
-
-        faults = decode_failures(point.failures)
-    else:
-        faults = None
+    faults = decode_failures(point.failures)  # () for a fault-free point
     if point.kind == "multi":
         measured = (
             point.measured_joins if point.measured_joins is not None else default_measured_joins()

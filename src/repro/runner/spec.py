@@ -263,7 +263,7 @@ class Sweep:
     #: cache keys.
     node_classes: Tuple[Optional[NodeClassesEntry], ...] = (None,)
     topologies: Tuple[Optional[TopologyEntry], ...] = (None,)
-    #: Fault-plan axis: encoded :class:`~repro.faults.plan.FaultEvent`
+    #: Fault-plan axis (``multi``/``timeline`` kinds): encoded ``FaultEvent``
     #: sequences (see :data:`~repro.faults.plan.FailuresEntry`).  ``None`` /
     #: empty entries mean fault-free execution and are canonicalised to
     #: ``None`` at expansion, so they produce the historical points
@@ -342,6 +342,15 @@ class Sweep:
             # in a worker.
             for entry in getattr(self, axis.sweep_field):
                 axis.canonical(entry)
+        plans = [plan for plan in map(_canonical_failures, self.failures) if plan is not None]
+        if plans and self.kind not in ("multi", "timeline"):
+            # Single-user and fixed-degree points run their joins past the
+            # fault runtime, and analytic points simulate nothing: the plan
+            # would be silently ignored under a faulted label.
+            raise ValueError(
+                f"fault plans only apply to multi/timeline sweeps, not {self.kind!r} "
+                f"(plan {_failures_label(plans[0])!r})"
+            )
         for axis, fraction in self.perturb:
             if axis not in PERTURBABLE_AXES:
                 raise ValueError(

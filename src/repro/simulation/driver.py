@@ -48,7 +48,7 @@ class SimulationDriver:
         self,
         config: SystemConfig,
         strategy: Union[str, LoadBalancingStrategy] = "OPT-IO-CPU",
-        faults=None,
+        faults=(),
     ):
         self.config = config
         self.system = ParallelSystem(config, strategy, faults=faults)
@@ -117,7 +117,7 @@ class SimulationDriver:
             generator.start()
         self.system.metrics.start_measurement(self.system.pes)
         collector = TimelineCollector(
-            self.env, self.system.pes, timeline_window, faults=self.system.faults
+            self.env, self.system.pes, timeline_window, self.system.faults
         )
         self.system.metrics.timeline = collector
         collector.start()
@@ -129,7 +129,16 @@ class SimulationDriver:
 
     # -- single-user ----------------------------------------------------------------------
     def run_single_user(self, num_queries: int = 10) -> SimulationResult:
-        """Run ``num_queries`` join queries back to back (one at a time)."""
+        """Run ``num_queries`` join queries back to back (one at a time).
+
+        The closed loop runs each join directly, past the fault runtime's
+        gates and registry, so a single-user run takes no fault plan.
+        """
+        if self.system.faults.events:
+            raise ValueError(
+                "a single-user run takes no fault plan: its joins bypass the "
+                "fault runtime, so no fault would be injected"
+            )
         self.system.start()
         self.system.metrics.start_measurement(self.system.pes)
         join_cfg = self.config.join_query

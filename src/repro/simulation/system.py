@@ -19,6 +19,7 @@ from repro.engine.pe import ProcessingElement
 from repro.engine.twopc import CommitStatistics
 from repro.execution.oltp import execute_oltp_transaction
 from repro.execution.parallel_join import execute_join_query
+from repro.faults.injector import FaultRuntime
 from repro.hardware.network import Network
 from repro.metrics.collector import MetricsCollector
 from repro.scheduling.control_node import ControlNode
@@ -44,7 +45,7 @@ class ParallelSystem:
         config: SystemConfig,
         strategy: Union[str, LoadBalancingStrategy] = "OPT-IO-CPU",
         env: Optional[Environment] = None,
-        faults=None,
+        faults=(),
     ):
         self.config = config
         self.env = env if env is not None else Environment()
@@ -94,15 +95,10 @@ class ParallelSystem:
         # fault injector can couple arrival surges to crashes.
         self.workload_generator = None
 
-        # Fault injection (PR 8).  ``faults`` is a sequence of FaultEvent
-        # records; an empty/None plan constructs nothing at all so that
-        # fault-free runs stay byte-identical to the historical goldens.
-        if faults:
-            from repro.faults.injector import FaultRuntime
-
-            self.faults: Optional[FaultRuntime] = FaultRuntime(self, faults)
-        else:
-            self.faults = None
+        # Fault injection.  ``faults`` is a sequence of FaultEvent records
+        # (``None`` reads as no events); an empty plan injects nothing and
+        # schedules no event, so fault-free runs keep their outputs.
+        self.faults = FaultRuntime(self, faults or ())
         self._started = False
         self.submitted = 0
         self.rejected = 0
@@ -115,8 +111,7 @@ class ParallelSystem:
         self._started = True
         self.control_node.start()
         self.deadlock_detector.start()
-        if self.faults is not None:
-            self.faults.start()
+        self.faults.start()
 
     def _abort_waiter(self, txn_id: int) -> bool:
         aborted = False
@@ -131,43 +126,37 @@ class ParallelSystem:
         self.submitted += 1
         if isinstance(transaction, JoinQuery):
             self._join_router.route(transaction)
-            if self.faults is not None:
-                if not self.faults.on_submit(transaction):
-                    return  # held until the PEs it needs are back
-                process = self.env.process(self._run_join(transaction))
-                self.faults.track(transaction, process)
-            else:
-                self.env.process(self._run_join(transaction))
         elif isinstance(transaction, OltpTransaction):
             self._oltp_router.route(transaction)
-            if self.faults is not None:
-                if not self.faults.on_submit(transaction):
-                    return
-                process = self.env.process(self._run_oltp(transaction))
-                self.faults.track(transaction, process)
-            else:
-                self.env.process(self._run_oltp(transaction))
         else:
             self.rejected += 1
             raise TypeError(f"unsupported transaction type: {type(transaction).__name__}")
+        self._launch(transaction)
+
+    def _launch(self, transaction: Transaction) -> bool:
+        """Gate a routed transaction and start it; False when it is held
+        until the PEs it needs are back (arrivals and resubmissions alike)."""
+        faults = self.faults
+        if not faults.on_submit(transaction):
+            return False
+        run = self._run_join if isinstance(transaction, JoinQuery) else self._run_oltp
+        faults.track(transaction, self.env.process(run(transaction)))
+        return True
 
     # -- execution paths --------------------------------------------------------------------
     def scheduling_context(self) -> SchedulingContext:
-        if self.faults is not None:
-            return SchedulingContext(
-                cost_model=self.cost_model,
-                control=self.control_node,
-                eligible_processors=self.faults.eligible_processors(),
-            )
-        return SchedulingContext(cost_model=self.cost_model, control=self.control_node)
+        return SchedulingContext(
+            cost_model=self.cost_model,
+            control=self.control_node,
+            eligible_processors=self.faults.eligible_processors(),
+        )
 
     def _run_join(self, query: JoinQuery):
         coordinator = self.pes[query.coordinator_pe]
         slot = yield from coordinator.transactions.admit(query)
         try:
             plan = self.strategy.plan_join(query, self.scheduling_context())
-            if self.faults is not None:
-                self.faults.note_plan(query, plan.processors)
+            self.faults.note_plan(query, plan.processors)
             result = yield from execute_join_query(self, query, plan)
             self.metrics.record_join(
                 response_time=self.env.now - query.arrival_time,

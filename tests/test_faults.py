@@ -194,18 +194,66 @@ def test_sweep_rejects_malformed_failures_entries():
         _tiny_faulted_spec(((("kind", "meteor"),),)).points()
 
 
+@pytest.mark.parametrize("kind", ["single", "fixed-degree", "analytic"])
+def test_sweep_rejects_fault_plans_on_kinds_that_would_ignore_them(kind):
+    # Single-user and fixed-degree joins run past the fault runtime, and
+    # analytic points simulate nothing: a plan there would change only the
+    # label.
+    axis = {"strategies": ("OPT-IO-CPU",)} if kind == "single" else {"degrees": (2,)}
+    with pytest.raises(ValueError, match=f"not '{kind}' \\(plan 'crash1@2'\\)"):
+        Sweep(kind=kind, system_sizes=(4,), failures=(None, CRASH_PLAN), **axis)
+    Sweep(kind=kind, system_sizes=(4,), failures=(None, ()), **axis)
+
+
 # -- runtime ------------------------------------------------------------------------
-def test_fault_runtime_rejects_empty_plan_and_bad_pe():
+def test_single_user_run_rejects_a_fault_plan():
+    # The closed loop bypasses the runtime's gates and registry, so a crash
+    # would neither kill nor hold anything.
+    driver = SimulationDriver(
+        homogeneous_config(4), faults=(FaultEvent(time=0.2, kind="pe_crash", pe=1),)
+    )
+    with pytest.raises(ValueError, match="single-user run takes no fault plan"):
+        driver.run_single_user(3)
+
+
+def test_fault_runtime_accepts_empty_plan_and_rejects_bad_pe():
     from repro.faults.injector import FaultRuntime
 
     driver = SimulationDriver(homogeneous_config(4))
-    with pytest.raises(ValueError, match="non-empty"):
-        FaultRuntime(driver.system, ())
+    env = driver.env
+    before = (env._eid, len(env._queue))
+    FaultRuntime(driver.system, ()).start()  # nothing to inject: no process, no event
+    assert (env._eid, len(env._queue)) == before
     with pytest.raises(ValueError, match="PE 9"):
         SimulationDriver(
             homogeneous_config(4),
             faults=(FaultEvent(time=1.0, kind="pe_crash", pe=9),),
         )
+
+
+@pytest.mark.parametrize("crashed_pe", [1, 5, None], ids=["crash", "crash-oltp-home", "clean"])
+def test_in_flight_registry_stays_bounded(crashed_pe):
+    # Every run tracks its transactions; finished records are pruned as the
+    # registry grows, not only when a fault fires, so neither a clean run
+    # nor a faulted run after its last event keeps one per submission.
+    # PE 5 is an OLTP home: its crash kills and resubmits transactions.
+    from repro.faults.injector import FaultRuntime
+
+    faults = (
+        ()
+        if crashed_pe is None
+        else (FaultEvent(time=1.0, kind="pe_crash", pe=crashed_pe, duration=1.0),)
+    )
+    driver = SimulationDriver(mixed_workload_config(8, oltp_placement="B"), faults=faults)
+    driver.run_timed(6.0)
+    system = driver.system
+    runtime = system.faults
+    assert isinstance(runtime, FaultRuntime)
+    assert runtime.injected == len(runtime.events)
+    if crashed_pe == 5:
+        assert runtime.kills > 0 and runtime.resubmits > 0
+    assert system.submitted > 3000
+    assert len(runtime._records) <= 256
 
 
 def test_crash_kills_resubmits_and_recovers():

@@ -73,15 +73,13 @@ def test_run_timed_partial_final_window():
 def test_window_close_reads_each_pe_disks_once(monkeypatch):
     """A window's disk utilisation comes from the snapshot that closes it."""
     from repro.config import SystemConfig
-    from repro.engine import ProcessingElement
     from repro.hardware.disk import DiskArray
     from repro.metrics import TimelineCollector
-    from repro.sim import Environment
+    from repro.simulation.system import ParallelSystem
 
-    env = Environment()
-    config = SystemConfig(num_pe=3)
-    pes = [ProcessingElement(env, pe_id=index, config=config) for index in range(3)]
-    collector = TimelineCollector(env, pes, window=0.1)
+    system = ParallelSystem(SystemConfig(num_pe=3))  # never started
+    env, pes = system.env, system.pes
+    collector = TimelineCollector(env, pes, window=0.1, faults=system.faults)
     collector.start()
 
     def io():
@@ -481,7 +479,7 @@ def test_close_window_with_no_completions_is_guarded():
     from repro.metrics.timeline import TimelineCollector
 
     driver = SimulationDriver(homogeneous_config(2))
-    collector = TimelineCollector(driver.env, driver.system.pes, 1.0)
+    collector = TimelineCollector(driver.env, driver.system.pes, 1.0, driver.system.faults)
     collector.start()
     driver.env.run(until=2.5)
     collector.finalize()

@@ -64,24 +64,3 @@ __all__ = [
     "mixed_workload_config",
     "render_parameter_table",
 ]
-
-def _registry_run(name):
-    """Back-compat run callable executing a registered scenario spec."""
-
-    def _run(workers=1, cache=None, **kwargs):
-        from repro.runner import ParallelRunner, build_scenario
-
-        return ParallelRunner(workers=workers, cache=cache).run(build_scenario(name, **kwargs))
-
-    _run.__name__ = f"run_{name}"
-    return _run
-
-
-#: Back-compat mapping derived from the scenario registry: figure name ->
-#: callable returning an ExperimentResult ("parameters" is a static table,
-#: not a simulated figure, hence excluded).
-from repro.runner import available_scenarios as _available_scenarios
-
-EXPERIMENTS = {
-    name: _registry_run(name) for name in _available_scenarios() if name != "parameters"
-}

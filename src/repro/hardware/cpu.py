@@ -13,8 +13,11 @@ Event coalescing
 ----------------
 Multi-quantum demands normally cost one request/timeout round-trip per
 quantum.  When the CPU is uncontended (single server, nothing queued) the
-whole remaining demand is covered by one :class:`~repro.sim.core.BatchTimeout`
-macro-event instead.  Semantics are pinned to the unbatched loop:
+whole remaining demand is covered by one macro-event instead: a
+``_QuantumBatch``, a :class:`~repro.sim.core.BatchRun` subclass that only
+folds the quantum boundaries and replays their busy time; the marker, relay
+and split protocol is the kernel's.  Semantics are pinned to the unbatched
+loop:
 
 * the macro end time and every virtual quantum boundary are computed by the
   *same left-fold of float additions* the per-quantum loop performs, so
@@ -31,18 +34,10 @@ macro-event instead.  Semantics are pinned to the unbatched loop:
 from __future__ import annotations
 
 import logging
-from heapq import heappush
 from typing import Generator
 
 from repro.config.parameters import CpuConfig, InstructionCosts
-from repro.sim import (
-    BatchHop,
-    BatchTimeout,
-    Environment,
-    PriorityResource,
-    Timeout,
-    coalescing_enabled,
-)
+from repro.sim import BatchRun, Environment, PriorityResource, Timeout, coalescing_enabled
 
 __all__ = ["CpuServer", "PRIORITY_OLTP", "PRIORITY_QUERY", "PRIORITY_BACKGROUND"]
 
@@ -58,25 +53,17 @@ _logger = logging.getLogger(__name__)
 _UTILIZATION_SLACK = 1e-9
 
 
-class _QuantumBatch:
-    """Bookkeeping for one coalesced run of uncontended CPU quanta.
+class _QuantumBatch(BatchRun):
+    """One coalesced run of ``n`` uncontended CPU quanta.
 
-    ``n`` slices cover the remaining demand: ``n - 1`` full quanta of
-    ``sec_q`` seconds each plus a final slice of ``sec_final`` seconds.
-    Boundary ``k`` (1-based) is the fold ``t0 + sec_1 + ... + sec_k``; the
-    macro-event fires at boundary ``n`` unless split earlier.
-
-    The replay cursor (``next_index``/``next_time``) applies, strictly before
-    any observation time, the busy-time piece the unbatched release at each
-    crossed boundary would have added.  The boundary *at* the current time is
-    always left to the real ``release()`` so piece ordering matches.
+    The run's boundaries fold ``n - 1`` full quanta of ``sec_q`` seconds and
+    a final slice of ``sec_final`` seconds from the start.  :meth:`sync`
+    adds, at every boundary it replays, the busy-time piece the per-quantum
+    release would add; the boundary *at* the current time is left to the
+    real ``release()`` so piece order matches.
     """
 
-    __slots__ = (
-        "resource", "n", "sec_q", "sec_final", "next_index", "next_time",
-        "event", "split_index", "hop_index", "hop_time", "hops",
-        "has_marker", "fired", "relay", "_alive",
-    )
+    __slots__ = ("resource",)
 
     def __init__(
         self,
@@ -86,150 +73,36 @@ class _QuantumBatch:
         sec_q: float,
         sec_final: float,
     ):
-        self.resource = resource
-        self.n = n
-        self.sec_q = sec_q
-        self.sec_final = sec_final
-        self.next_index = 1
-        self.next_time = env._now + (sec_q if n > 1 else sec_final)
-        self.split_index = 0  # 0 = ran to completion
-        end = env._now
+        t = env._now
+        bounds = []
         for _ in range(n - 1):
-            end += sec_q
-        end += sec_final
-        # The macro-event is deferred: the hop cursor below walks the quantum
-        # boundaries and only schedules it once the cursor reaches the end,
-        # so heap pushes happen at the same simulated moments (and hence the
-        # same event-id tie-break positions) as the unbatched slice timeouts.
-        self.event = BatchTimeout(env, end, defer=True)
-        self.hop_index = 1
-        self.hop_time = self.next_time
-        self.hops = 1
-        self.has_marker = True
-        self.fired = False
-        self.relay = False
-        self._alive = True
-        BatchHop(env, self, self.next_time)
-
-    def hop(self, horizon: float) -> None:
-        """Advance the hop cursor at least one boundary, at most to ``horizon``.
-
-        Called by the kernel when this batch's pending heap entry surfaces
-        with nothing scheduled before ``horizon``: every interior boundary up
-        to the horizon is provably free of competing events, so the cursor
-        jumps across all of them at once.  Each boundary value repeats the
-        unbatched loop's float fold exactly.
-
-        When a competing event shares this boundary's instant
-        (``horizon`` equals the boundary time), the boundary is *realized*
-        instead: its accounting piece is applied inclusively right here --
-        the same pop position where the unbatched release would run -- and
-        the follow-up push is *relayed* through a same-instant marker.
-        Unbatched, the boundary takes two heap hops within the instant: the
-        slice timeout pops (release), the re-granted request pops, and only
-        the latter pushes the next slice timeout.  The relay entry occupies
-        the request's ``(time, eid)`` slot, so the next boundary's event is
-        allocated its id in the instant's second wave exactly as the
-        unbatched push would be -- otherwise it wins same-instant
-        tie-breaks it should lose.
-        """
-        if self.split_index:
-            self._alive = False
-            if self.relay:
-                # Preempted between the realize and this relay entry: the
-                # relay slot is where the unbatched re-granted request would
-                # push the next slice timeout, so reschedule the wake here.
-                self.event.split(self.next_time)
-            else:
-                # Preempted with this marker already at the split boundary:
-                # the marker's (time, eid) slot is exactly where the
-                # unbatched slice timeout would pop, so fire the wake here
-                # (see preempt()).
-                self.fired = True
-                self.event.fire()
-            return
-        if self.relay:
-            # Second wave of a realized boundary: jump onward from here.
-            self.relay = False
-        elif horizon <= self.hop_time:
-            self.sync(self.hop_time, inclusive=True)
-            self.relay = True
-            self.hops += 1
-            BatchHop(self.event.env, self, self.hop_time)
-            return
-        i = self.hop_index
-        t = self.hop_time
-        n = self.n
-        sec_q = self.sec_q
-        i += 1
-        t += sec_q if i < n else self.sec_final
-        while i < n:
-            nt = t + (sec_q if i + 1 < n else self.sec_final)
-            if nt > horizon:
-                break
-            i += 1
-            t = nt
-        self.hop_index = i
-        self.hop_time = t
-        n = self.n
-        event = self.event
-        env = event.env
-        if i >= n:
-            # Cursor reached the batch end: schedule the macro-event itself.
-            self.has_marker = False
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (event._when, eid, event))
-        else:
-            self.hops += 1
-            BatchHop(env, self, t)
+            t += sec_q
+            bounds.append(t)
+        bounds.append(t + sec_final)
+        BatchRun.__init__(self, env, bounds)
+        self.resource = resource
+        resource._batch = self
 
     def sync(self, now: float, inclusive: bool = False) -> None:
-        """Replay the accounting of quantum boundaries strictly before ``now``.
-
-        With ``inclusive`` the boundary *at* ``now`` is applied as well --
-        used by :meth:`hop` to realize a boundary whose instant is shared
-        with a competing event.
-        """
         nt = self.next_time
         if nt > now or (nt == now and not inclusive):
             return
         res = self.resource
+        bounds = self.bounds
         i = self.next_index
-        n = self.n
-        sec_q = self.sec_q
         while nt < now or (inclusive and nt == now):
-            # Unbatched, the holder releases and immediately re-acquires the
+            # Per quantum, the holder releases and at once re-acquires the
             # sole slot at each boundary: one busy piece ending there.
             res._busy_time += res._busy_servers * (nt - res._last_change)
             res._last_change = nt
             i += 1
-            if i < n:
-                nt += sec_q
-            elif i == n:
-                nt += self.sec_final
-            else:  # pragma: no cover - boundary n is the macro end itself
-                break
+            nt = bounds[i]
         self.next_index = i
         self.next_time = nt
 
-    def preempt(self) -> None:
-        """A competing request arrived: split on the next quantum boundary.
-
-        After :meth:`sync`, ``next_time`` is the first boundary at or after
-        the arrival -- the instant where the unbatched loop would release the
-        slot and let the queue (the newcomer included) compete for it.
-        """
-        env = self.event.env
-        self.sync(env._now)
-        self.split_index = self.next_index
-        self.resource._batch = None
-        if self.has_marker and (self.relay or self.hop_time == self.next_time):
-            # The pending marker (or same-instant relay entry) holds the
-            # event-id slot the unbatched wake would hold: leave the wake to
-            # it (see hop()).
-            return
-        self._alive = False  # orphan any pending BatchHop entry
-        self.event.split(self.next_time)
+    def _detach(self) -> None:
+        if self.resource._batch is self:
+            self.resource._batch = None
 
 
 class CpuServer:
@@ -319,14 +192,10 @@ class CpuServer:
                     batch = _QuantumBatch(
                         env, resource, n, seconds_for(quantum), seconds_for(r)
                     )
-                    resource._batch = batch
                     try:
                         yield batch.event
                     finally:
-                        batch._alive = False
-                        if resource._batch is batch:
-                            resource._batch = None
-                        batch.sync(env._now)
+                        batch.finalize(env._now)
                     k = batch.split_index
                     if k == 0 or k >= n:
                         env.events_coalesced += max(0, 2 * n - 2 - batch.hops)

@@ -15,24 +15,25 @@ Event coalescing
 An uncontended I/O chain -- alternating disk-busy and controller-busy phases
 -- normally costs two heap round-trips per phase.  When the chosen disk has
 no competition and the controller is idle, the whole chain is covered by a
-single :class:`~repro.sim.core.BatchTimeout` macro-event instead, with the
-chain *virtualised*: a replay cursor applies each phase transition (busy
-flags, ``users`` membership, busy-time pieces, ``physical_ios``) lazily
-before any observation, using the same float folds as the per-chunk loop, so
-utilisation accounting and disk-picking decisions are bit-identical.  Any
-external request on the disk or the controller splits the macro-event at the
-current phase boundary and the chain falls back to per-chunk mode from
-there, exactly where the unbatched loop would have yielded the slot.
+single macro-event instead, with the chain *virtualised*: a ``_ChainBatch``,
+a :class:`~repro.sim.core.BatchRun` subclass, folds the phase ends and
+replays each phase transition (busy flags, ``users`` membership, busy-time
+pieces, ``physical_ios``) lazily before any observation, using the same
+float folds as the per-chunk loop, so utilisation accounting and
+disk-picking decisions are bit-identical; the marker, relay and split
+protocol is the kernel's.  Any external request on the disk or the
+controller splits the macro-event at the current phase boundary and the
+chain falls back to per-chunk mode from there, exactly where the unbatched
+loop would have yielded the slot.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from heapq import heappush
 from typing import Generator, List, Optional, Tuple
 
 from repro.config.parameters import DiskConfig
-from repro.sim import BatchHop, BatchTimeout, Environment, Resource, Timeout, coalescing_enabled
+from repro.sim import BatchRun, Environment, Resource, Timeout, coalescing_enabled
 from repro.sim.resources import Request
 
 __all__ = ["LruCache", "DiskArray"]
@@ -88,25 +89,23 @@ class LruCache:
         return self.hits / total if total else 0.0
 
 
-class _ChainBatch:
+class _ChainBatch(BatchRun):
     """Virtualised uncontended disk/controller chain under one macro-event.
 
     ``n`` chunks alternate a disk phase (``busy_full``/``busy_last`` seconds)
     and -- when the controller time is non-zero -- a controller phase
-    (``ctl_full``/``ctl_last`` seconds).  The batch is created *after* the
-    real grant of the first chunk's disk request; every later transition is
-    replayed by :meth:`sync` strictly before the observation time, mutating
-    the two resources exactly as the per-chunk release/request pairs would
-    (the transition *at* the wake time is performed for real by the owning
-    generator).
+    (``ctl_full``/``ctl_last`` seconds); every phase end is a boundary.  The
+    batch is created *after* the real grant of the first chunk's disk
+    request; every later transition is replayed by :meth:`sync` strictly
+    before the observation time, mutating the two resources exactly as the
+    per-chunk release/request pairs would (the transition *at* the wake time
+    is performed for real by the owning generator).  ``index`` (1-based
+    chunk) and ``phase`` say where the replay stands.
     """
 
     __slots__ = (
         "array", "disk", "controller", "disk_req", "ctl_req", "n",
-        "busy_full", "busy_last", "ctl_full", "ctl_last",
-        "index", "phase", "next_time", "event", "split", "fired",
-        "hop_index", "hop_phase", "hop_time", "hops", "has_marker", "relay",
-        "_alive",
+        "ctl_full", "ctl_last", "index", "phase",
     )
 
     def __init__(
@@ -121,6 +120,17 @@ class _ChainBatch:
         ctl_last: float,
     ):
         env = array.env
+        # Fold the phase ends exactly as the per-chunk loop advances the clock.
+        t = env._now
+        bounds = []
+        for j in range(1, n + 1):
+            t += busy_full if j < n else busy_last
+            bounds.append(t)
+            ctl_time = ctl_full if j < n else ctl_last
+            if ctl_time > 0.0:
+                t += ctl_time
+                bounds.append(t)
+        BatchRun.__init__(self, env, bounds)
         self.array = array
         self.disk = disk
         self.controller = array.controller
@@ -129,134 +139,15 @@ class _ChainBatch:
         #: virtual controller phase is in flight (never triggered itself).
         self.ctl_req = Request(array.controller)
         self.n = n
-        self.busy_full = busy_full
-        self.busy_last = busy_last
         self.ctl_full = ctl_full
         self.ctl_last = ctl_last
         self.index = 1
         self.phase = _PHASE_DISK
-        self.next_time = env._now + (busy_full if n > 1 else busy_last)
-        self.split = False
-        self.fired = False
-        # Fold the chain end exactly as the per-chunk loop advances the clock.
-        end = env._now
-        for j in range(1, n + 1):
-            end += busy_full if j < n else busy_last
-            ctl_time = ctl_full if j < n else ctl_last
-            if ctl_time > 0.0:
-                end += ctl_time
-        # Deferred macro-event driven by the hop cursor: heap entries land at
-        # the same simulated moments the per-chunk loop would push its
-        # timeouts, preserving same-timestamp event-id ordering.
-        self.event = BatchTimeout(env, end, defer=True)
-        self.hop_index = 1
-        self.hop_phase = _PHASE_DISK
-        self.hop_time = self.next_time
-        self.hops = 0
-        self.relay = False
-        self._alive = True
-        if self._hop_final(1, _PHASE_DISK):
-            # Single-chunk chain without a controller part: the first disk
-            # phase is the whole chain, schedule the macro-event directly.
-            self.has_marker = False
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (end, eid, self.event))
-        else:
-            self.hops = 1
-            self.has_marker = True
-            BatchHop(env, self, self.next_time)
         array._batch = self
         disk._batch = self
         array.controller._batch = self
 
-    # -- hop cursor --------------------------------------------------------
-    def _hop_final(self, i: int, phase: int) -> bool:
-        """True if (chunk ``i``, ``phase``) ends at the chain end itself."""
-        if i < self.n:
-            return False
-        if phase == _PHASE_CTL:
-            return True
-        return self.ctl_last <= 0.0
-
-    def _hop_step(self, i: int, phase: int, t: float):
-        """One phase transition of the hop fold (no accounting)."""
-        if phase == _PHASE_DISK:
-            ct = self.ctl_full if i < self.n else self.ctl_last
-            if ct > 0.0:
-                return i, _PHASE_CTL, t + ct
-        i += 1
-        return i, _PHASE_DISK, t + (self.busy_full if i < self.n else self.busy_last)
-
-    def hop(self, horizon: float) -> None:
-        """Advance the hop cursor at least one transition, at most to ``horizon``.
-
-        Invoked by the kernel when this chain's pending heap entry surfaces
-        with no competing event scheduled before ``horizon``; the interior
-        transitions up to the horizon are then provably undisturbed and are
-        crossed in a single jump.
-
-        When a competing event shares this boundary's instant (``horizon``
-        equals the boundary time), the phase transition is *realized*
-        instead: it is applied inclusively right here -- the same pop
-        position where the unbatched release would run -- and the follow-up
-        push is *relayed* through a same-instant marker.  Unbatched, the
-        boundary takes two heap hops within the instant: the phase timeout
-        pops (release), the re-granted request pops, and only the latter
-        pushes the next phase timeout.  The relay entry occupies the
-        request's ``(time, eid)`` slot, so the next boundary's event is
-        allocated its id in the instant's second wave exactly as the
-        unbatched push would be -- otherwise it wins same-instant
-        tie-breaks it should lose.
-        """
-        if self.split:
-            self._alive = False
-            if self.relay:
-                # Preempted between the realize and this relay entry: the
-                # relay slot is where the unbatched re-granted request would
-                # push the next phase timeout, so reschedule the wake here.
-                self.event.split(self.next_time)
-            else:
-                # Preempted with this marker already at the split boundary:
-                # the marker's (time, eid) slot is exactly where the
-                # unbatched chunk timeout would pop, so fire the wake here
-                # (see preempt()).
-                self.fired = True
-                self.event.fire()
-            return
-        if self.relay:
-            # Second wave of a realized boundary: jump onward from here.
-            self.relay = False
-        elif horizon <= self.hop_time:
-            self.sync(self.hop_time, inclusive=True)
-            self.relay = True
-            self.hops += 1
-            BatchHop(self.event.env, self, self.hop_time)
-            return
-        i, phase, t = self._hop_step(self.hop_index, self.hop_phase, self.hop_time)
-        while not self._hop_final(i, phase):
-            ni, nphase, nt = self._hop_step(i, phase, t)
-            if nt > horizon:
-                break
-            i, phase, t = ni, nphase, nt
-        env = self.event.env
-        if self._hop_final(i, phase):
-            self.has_marker = False
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (self.event._when, eid, self.event))
-        else:
-            self.hop_index = i
-            self.hop_phase = phase
-            self.hop_time = t
-            self.hops += 1
-            BatchHop(env, self, t)
-
     def sync(self, now: float, inclusive: bool = False) -> None:
-        """Replay phase transitions strictly before ``now``.
-
-        With ``inclusive`` the transition *at* ``now`` is applied as well --
-        used by :meth:`hop` to realize a boundary whose instant is shared
-        with a competing event.
-        """
         nt = self.next_time
         if nt > now or (nt == now and not inclusive):
             return
@@ -264,6 +155,8 @@ class _ChainBatch:
         disk = self.disk
         ctl = self.controller
         disk_req = self.disk_req
+        bounds = self.bounds
+        k = self.next_index
         i = self.index
         phase = self.phase
         n = self.n
@@ -274,23 +167,18 @@ class _ChainBatch:
                 disk._last_change = nt
                 disk._busy_servers -= 1
                 disk.users.discard(disk_req)
-                ctl_time = self.ctl_full if i < n else self.ctl_last
-                if ctl_time > 0.0:
+                if (self.ctl_full if i < n else self.ctl_last) > 0.0:
                     # ... and occupy the (idle, by construction) controller.
                     ctl._last_change = nt
                     ctl._busy_servers += 1
                     ctl.users.add(self.ctl_req)
                     phase = _PHASE_CTL
-                    nt += ctl_time
                 else:
-                    if i >= n:  # pragma: no cover - chain end is the macro time
-                        break
                     i += 1
                     array.physical_ios += 1
                     disk._last_change = nt
                     disk._busy_servers += 1
                     disk.users.add(disk_req)
-                    nt += self.busy_full if i < n else self.busy_last
             else:
                 # End of chunk i's controller phase: release the controller
                 # and start the next chunk on the disk.
@@ -298,58 +186,26 @@ class _ChainBatch:
                 ctl._last_change = nt
                 ctl._busy_servers -= 1
                 ctl.users.discard(self.ctl_req)
-                if i >= n:  # pragma: no cover - chain end is the macro time
-                    break
                 i += 1
                 array.physical_ios += 1
                 disk._last_change = nt
                 disk._busy_servers += 1
                 disk.users.add(disk_req)
                 phase = _PHASE_DISK
-                nt += self.busy_full if i < n else self.busy_last
+            k += 1
+            nt = bounds[k]
+        self.next_index = k
+        self.next_time = nt
         self.index = i
         self.phase = phase
-        self.next_time = nt
 
-    def preempt(self) -> None:
-        """A competing request arrived: split at the current phase boundary.
-
-        When the pending marker sits exactly at the split boundary (the
-        cursor has not jumped past the in-flight phase -- the common case
-        under contention), the wake is left to the marker itself so it keeps
-        the event-id slot the unbatched chunk timeout would hold; see
-        :meth:`hop`.  Only a cursor that already jumped ahead falls back to
-        rescheduling through :meth:`BatchTimeout.split` (a fresh, later-id
-        heap entry).
-        """
-        env = self.event.env
-        self.sync(env._now)
-        self.split = True
-        if self.has_marker and (self.relay or self.hop_time == self.next_time):
-            self._unhook()  # stop virtualising; the live marker carries the wake
-        else:
-            self._alive = False  # orphan any pending BatchHop entry
-            self.deactivate()
-            self.event.split(self.next_time)
-
-    def _unhook(self) -> None:
-        """Detach the batch from the array and its resources (idempotent)."""
+    def _detach(self) -> None:
         if self.array._batch is self:
             self.array._batch = None
         if self.disk._batch is self:
             self.disk._batch = None
         if self.controller._batch is self:
             self.controller._batch = None
-
-    def deactivate(self) -> None:
-        """Unhook the batch and kill any pending marker (idempotent)."""
-        self._alive = False
-        self._unhook()
-
-    def finalize(self, now: float) -> None:
-        """Settle replayed state at wake/teardown time."""
-        self.sync(now)
-        self.deactivate()
 
     def pages_consumed(self, total_pages: int, full_pages: int) -> int:
         """Pages covered through the chunk in flight at the wake boundary."""
@@ -374,7 +230,7 @@ class _ChainBatch:
             # The wake reused the final marker's heap entry: no extra push.
             actual = self.hops
         else:
-            actual = self.hops + (2 if self.split else 1)
+            actual = self.hops + (2 if self.split_index else 1)
         return max(0, covered - actual)
 
 

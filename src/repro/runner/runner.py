@@ -288,6 +288,11 @@ def run_point_spec(point: PointSpec) -> SimulationResult:
             )
         )
     if point.kind == "analytic":
+        if faults:
+            raise ValueError(
+                "an analytic point takes no fault plan: nothing is simulated, "
+                "so no fault would be injected"
+            )
         cost_model = CostModel(config)
         query = JoinQuery(scan_selectivity=config.join_query.scan_selectivity)
         estimate = cost_model.estimate_response_time(query, point.degree)

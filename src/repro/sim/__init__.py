@@ -4,6 +4,7 @@ from repro.sim.core import (
     AllOf,
     AnyOf,
     BatchHop,
+    BatchRun,
     BatchTimeout,
     BatchWalk,
     Environment,
@@ -21,6 +22,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BatchHop",
+    "BatchRun",
     "BatchTimeout",
     "BatchWalk",
     "Environment",

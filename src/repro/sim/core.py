@@ -29,8 +29,8 @@ trades a little uniformity for constant-factor speed:
 * a process whose yielded target has *already been processed* is resumed
   synchronously instead of round-tripping an intermediate event through the
   heap;
-* :meth:`Environment.run` inlines the per-event work of :meth:`step` so the
-  main loop costs one heap pop and one callback walk per event.
+* :meth:`Environment.run` costs one heap pop and one callback walk per
+  event.
 
 Events still fire in ``(time, schedule order)`` sequence and callback
 registration order is preserved.  One scheduling contract is deliberately
@@ -55,6 +55,7 @@ __all__ = [
     "Timeout",
     "BatchTimeout",
     "BatchHop",
+    "BatchRun",
     "BatchWalk",
     "Process",
     "AllOf",
@@ -354,9 +355,10 @@ class BatchHop(Event):
     the heap holds nothing before the batch end, the cursor jumps there in a
     single hop and the interior boundaries cost nothing.
 
-    The owning batch object must provide ``_alive`` (False once split or
-    finished) and ``hop(horizon)`` (advance the cursor at least one boundary,
-    at most to ``horizon``, and push the follow-up entry).
+    The owning batch -- a :class:`BatchRun` subclass (CPU quantum runs,
+    disk/controller chains) or a :class:`BatchWalk` (network chains) --
+    provides ``_alive`` (False once split or finished) and ``hop(horizon)``
+    (advance the cursor and push the follow-up entry).
 
     Hop entries are scheduling metadata, not simulation events: they are
     pushed onto the environment's separate marker heap (``env._hops``) so
@@ -377,6 +379,149 @@ class BatchHop(Event):
         self.batch = batch
         eid = env._eid = env._eid + 1
         heappush(env._hops, (at, eid, self))
+
+
+class BatchRun:
+    """A coalesced run of uncontended micro-steps, virtualised by one macro-event.
+
+    ``bounds`` are the step ends in ascending order, each the float the
+    per-step loop reaches (the caller folds them from ``env.now`` in the
+    loop's order); the last one is the run's end, where the deferred
+    :class:`BatchTimeout` ``event`` fires unless the run is split earlier.
+    The run keeps exactly one pending heap entry: a :class:`BatchHop` marker
+    at ``bounds[hop_index]`` or, once the marker cursor reaches the end, the
+    macro-event itself.
+
+    Subclasses supply the accounting of their steps:
+
+    * ``sync(now, inclusive=False)`` applies, in order, what the per-step
+      loop does at every boundary strictly before ``now`` (and at ``now``
+      with ``inclusive``), advancing the replay cursor ``next_index`` /
+      ``next_time`` (the first boundary not applied yet);
+    * ``_detach()`` drops the resource hooks through which observers and
+      competing requests reach the run (idempotent).
+
+    Two rules keep the heap pushes, and so every same-instant tie-break,
+    where the per-step loop would put them (see :meth:`hop`):
+
+    * *relay* -- a boundary that shares its instant with a real event is
+      applied when its marker pops, and a second marker is pushed at the
+      same instant, so the next event id is allocated in that instant's
+      second wave, as the per-step re-grant would allocate it;
+    * *fire* -- a run preempted while its marker sits at the split boundary
+      wakes at that marker's own heap slot, not at a fresh, later one.
+    """
+
+    __slots__ = (
+        "event", "bounds", "next_index", "next_time", "hop_index", "hops",
+        "has_marker", "split_index", "fired", "relay", "_alive",
+    )
+
+    def __init__(self, env: "Environment", bounds: List[float]):
+        self.event = BatchTimeout(env, bounds[-1], defer=True)
+        self.bounds = bounds
+        self.next_index = 0
+        self.next_time = bounds[0]
+        self.hop_index = 0
+        self.split_index = 0  # 1-based split boundary; 0 = not split
+        self.fired = False
+        self.relay = False
+        self._alive = True
+        if len(bounds) == 1:
+            self.hops = 0
+            self.has_marker = False
+            eid = env._eid = env._eid + 1
+            heappush(env._queue, (bounds[0], eid, self.event))
+        else:
+            self.hops = 1
+            self.has_marker = True
+            BatchHop(env, self, bounds[0])
+
+    def sync(self, now: float, inclusive: bool = False) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def _detach(self) -> None:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def hop(self, horizon: float) -> None:
+        """Advance the marker cursor at least one boundary, at most to ``horizon``.
+
+        Called by the kernel when the run's marker pops with no real event
+        before ``horizon``: every boundary up to the horizon is provably
+        undisturbed, so the cursor jumps across all of them at once.
+
+        When the horizon equals the marker's boundary, a real event shares
+        its instant: the boundary is applied inclusively right here, the
+        pop position of the per-step release, and the follow-up push is
+        *relayed* through a same-instant marker.  Per step, the boundary
+        takes two heap pops within the instant (the step timeout, then the
+        re-granted request), and only the second pushes the next step's
+        timeout; the relay entry holds the request's ``(time, eid)`` slot.
+        """
+        if self.split_index:
+            self._alive = False
+            if self.relay:
+                # Preempted between the applied boundary and its relay: the
+                # relay slot is where the per-step re-grant would push the
+                # next step, so reschedule the wake from here.
+                self.event.split(self.next_time)
+            else:
+                # Preempted with this marker at the split boundary: its slot
+                # is where the per-step timeout pops (see preempt()).
+                self.fired = True
+                self.event.fire()
+            return
+        bounds = self.bounds
+        i = self.hop_index
+        if self.relay:
+            # Second wave of an applied boundary: jump onward from here.
+            self.relay = False
+        elif horizon <= bounds[i]:
+            self.sync(bounds[i], True)
+            self.relay = True
+            self.hops += 1
+            BatchHop(self.event.env, self, bounds[i])
+            return
+        last = len(bounds) - 1
+        i += 1
+        while i < last and bounds[i + 1] <= horizon:
+            i += 1
+        event = self.event
+        env = event.env
+        if i == last:
+            self.has_marker = False
+            eid = env._eid = env._eid + 1
+            heappush(env._queue, (event._when, eid, event))
+        else:
+            self.hop_index = i
+            self.hops += 1
+            BatchHop(env, self, bounds[i])
+
+    def preempt(self) -> None:
+        """A competing request arrived: split on the next boundary.
+
+        After :meth:`sync`, ``next_time`` is the first boundary at or after
+        now, where the per-step loop would release and let the newcomer
+        compete.  If the pending marker (or relay entry) sits there, the wake
+        is left to it, so it keeps the per-step timeout's ``(time, eid)``
+        slot (see :meth:`hop`); a cursor that already jumped past is
+        orphaned and the wake rescheduled by :meth:`BatchTimeout.split`.
+        """
+        self.sync(self.event.env._now)
+        self.split_index = self.next_index + 1
+        self._detach()
+        if self.has_marker and (
+            self.relay or self.bounds[self.hop_index] == self.next_time
+        ):
+            return
+        self._alive = False
+        self.event.split(self.next_time)
+
+    def finalize(self, now: float) -> None:
+        """Settle the replayed state at wake or teardown time."""
+        self._alive = False
+        self._detach()
+        self.sync(now)
 
 
 class BatchWalk:
@@ -709,41 +854,13 @@ class Environment:
         eid = self._eid = self._eid + 1
         heappush(self._queue, (self._now + delay, eid, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none)."""
-        queue = self._queue
-        hops = self._hops
-        if queue:
-            return min(queue[0][0], hops[0][0]) if hops else queue[0][0]
-        return hops[0][0] if hops else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event (markers merged by ``(time, eid)``)."""
-        queue = self._queue
-        hops = self._hops
-        if hops and (not queue or hops[0] < queue[0]):
-            when, _, event = heappop(hops)
-        elif queue:
-            when, _, event = heappop(queue)
-        else:
-            raise SimulationError("no more events")
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = PROCESSED
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif not event._ok:
-            # A failed event (or crashed process) nobody waits for is a
-            # programming error: surface it instead of silently dropping it.
-            raise event._value
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue is exhausted or ``until`` is reached."""
-        # The per-event work of step() is inlined here: this loop is the
-        # single hottest piece of code in the whole simulator.  Batch-hop
-        # markers live in their own heap and are merged by (time, eid);
-        # the empty-`hops` check is one truthiness test in the common case.
+        # This loop is the single hottest piece of code in the whole
+        # simulator.  Batch-hop markers live in their own heap and are merged
+        # by (time, eid); the empty-`hops` check is one truthiness test in
+        # the common case.  A failed event (or crashed process) nobody waits
+        # for is a programming error: it is raised, not silently dropped.
         queue = self._queue
         hops = self._hops
         if until is None:

@@ -14,7 +14,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "PoissonArrivals",
         "SinusoidalArrivals",
         "StepArrivals",
-        "TraceArrivals",
         "make_arrival_process",
     ),
     "repro.workload.generator": ("WorkloadClass", "WorkloadGenerator", "WorkloadSpec"),

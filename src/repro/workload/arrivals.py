@@ -11,8 +11,7 @@ time-varying rate profile:
 * :class:`OnOffArrivals` -- a 2-state Markov-modulated Poisson process
   (bursty on/off load with exponential sojourn times);
 * :class:`SinusoidalArrivals` -- diurnal-style sinusoidal rate modulation;
-* :class:`StepArrivals` -- a piecewise-constant load surge/spike;
-* :class:`TraceArrivals` -- replay of an explicit list of arrival times.
+* :class:`StepArrivals` -- a piecewise-constant load surge/spike.
 
 Non-homogeneous Poisson processes (sine, step) are sampled by Lewis-Shedler
 thinning against the peak rate, so every process draws from a single
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "OnOffArrivals",
     "SinusoidalArrivals",
     "StepArrivals",
-    "TraceArrivals",
     "make_arrival_process",
 ]
 
@@ -271,50 +269,6 @@ class OnOffArrivals(ArrivalProcess):
         return (self.on_rate * self.mean_on + self.off_rate * self.mean_off) / cycle
 
 
-@dataclass
-class TraceArrivals(ArrivalProcess):
-    """Replays an explicit, strictly increasing list of arrival times.
-
-    Stateful: a cursor walks the list so a record at the stream origin
-    (``times[0] == 0.0`` with the clock already at 0) is emitted rather
-    than skipped; :meth:`reset` rewinds for a fresh sampling pass.
-    """
-
-    times: Tuple[float, ...] = ()
-    _index: int = field(init=False, repr=False, default=0)
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("trace arrival times must be strictly increasing")
-        self.times = times
-        self.reset()
-
-    def reset(self) -> None:
-        self._index = 0
-
-    def interarrival(self, now: float, rng: random.Random) -> float:
-        # Skip any records the clock has already passed (a replay started
-        # mid-trace), but emit a record exactly at ``now`` if it is next.
-        while self._index < len(self.times) and self.times[self._index] < now:
-            self._index += 1
-        if self._index >= len(self.times):
-            return float("inf")
-        arrival = self.times[self._index]
-        self._index += 1
-        return arrival - now
-
-    def rate(self, t: float) -> float:
-        if not self.times:
-            return 0.0
-        duration = self.times[-1]
-        return len(self.times) / duration if duration > 0 else 0.0
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate(0.0)
-
-
 def _params_dict(params: Optional[Mapping[str, float] | Sequence[Tuple[str, float]]]) -> Dict[str, float]:
     if params is None:
         return {}
@@ -389,7 +343,7 @@ def make_arrival_process(
     elif kind == "trace":
         raise ValueError(
             "trace arrivals are materialised by the runner (generate_trace + "
-            "TraceReplayer); build TraceArrivals directly to replay explicit times"
+            "TraceReplayer)"
         )
     else:
         known = ", ".join(k for k in ARRIVAL_KINDS if k != "trace")

@@ -20,6 +20,19 @@ from repro.sim import (
     coalescing_enabled,
 )
 
+#: Cadence pins: ``(events_dispatched, events_coalesced)`` of the batched run
+#: in each case below.  Every marker, relay entry, macro push and split push
+#: allocates an event id, so a drift in the marker cadence -- which the
+#: trace comparisons cannot see -- moves these counts.
+CPU_UNCONTENDED = (5, 23)  # a jump across the quiet stretch
+CPU_SPLIT_AFTER_JUMP = (17, 14)  # preempted after the cursor jumped ahead
+CPU_FIRE_AT_MARKER = (21, 11)  # the wake fires at the marker's own slot
+CPU_LOCKSTEP_RELAY = (20, 0)  # boundaries relayed at shared instants
+DISK_UNCONTENDED = (5, 10)
+DISK_SPLIT_AFTER_JUMP = (21, 9)
+DISK_FIRE_AT_MARKER = (24, 3)
+DISK_LOCKSTEP_RELAY = (24, 1)
+
 
 # ---------------------------------------------------------------------------
 # kernel building blocks
@@ -139,6 +152,8 @@ def test_cpu_uncontended_batch_is_bit_identical():
     assert trace_a == trace_b  # exact float equality, fold for fold
     assert env_b.events_coalesced > 0
     assert env_b.events_dispatched < env_a.events_dispatched
+    # Cadence pin: one marker at the first boundary, one jump to the end.
+    assert (env_b.events_dispatched, env_b.events_coalesced) == CPU_UNCONTENDED
 
 
 def test_cpu_poll_during_batch_matches_unbatched_accounting():
@@ -166,14 +181,20 @@ def test_cpu_oltp_preempts_mid_macro_on_quantum_boundary():
     # Holder: 10 quanta (boundaries every 5 ms).  OLTP arrives at 7 ms,
     # mid-macro: the batch must split on the *next* boundary (10 ms), where
     # the unbatched holder would release, and OLTP (priority 0) wins the
-    # grant over the holder's re-request.
+    # grant over the holder's re-request.  OLTP arrives from 7 ms of work on
+    # another CPU, itself batched: markers do not bound one another's
+    # horizon, so the holder's cursor has already jumped to its macro end
+    # and the split reschedules the wake (BatchTimeout.split).
     def workload(env, cpu, trace):
+        other = CpuServer(env, CpuConfig(mips=20), InstructionCosts(), pe_id=1)
+        other._coalesce = cpu._coalesce
+
         def holder():
             yield from cpu.consume(1_000_000)
             trace.append(("holder", env.now))
 
         def oltp():
-            yield Timeout(env, 0.007)
+            yield from other.consume(140_000)  # 5 ms + 2 ms
             yield from cpu.consume(10_000, priority=PRIORITY_OLTP)
             trace.append(("oltp", env.now))
 
@@ -181,11 +202,12 @@ def test_cpu_oltp_preempts_mid_macro_on_quantum_boundary():
         env.process(oltp())
 
     _, _, trace_a = _run_cpu(False, workload)
-    _, _, trace_b = _run_cpu(True, workload)
+    env_b, _, trace_b = _run_cpu(True, workload)
     assert trace_a == trace_b
     # OLTP runs 10.0..10.5 ms; the holder's remaining 8 quanta then finish.
     assert trace_b[0] == ("oltp", pytest.approx(10.5 * MS))
     assert trace_b[1] == ("holder", pytest.approx(50.5 * MS))
+    assert (env_b.events_dispatched, env_b.events_coalesced) == CPU_SPLIT_AFTER_JUMP
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +238,24 @@ def test_disk_sequential_chain_is_bit_identical():
     assert trace_a == trace_b
     assert env_b.events_coalesced > 0
     assert env_b.events_dispatched < env_a.events_dispatched
+    assert (env_b.events_dispatched, env_b.events_coalesced) == DISK_UNCONTENDED
 
 
 def test_disk_chain_split_by_competing_io_is_bit_identical():
     def workload(env, disks, trace):
+        other = DiskArray(env, DiskConfig(disks_per_pe=1), pe_id=1)
+        other._coalesce = disks._coalesce
+
         def chain():
-            yield from disks.write_sequential(10)
+            yield from disks.write_sequential(10)  # chunks of 4, 4 and 2 pages
             trace.append(("chain", env.now))
 
         def competitor():
-            # Lands at 10 ms, inside the chain's first disk phase.
-            yield Timeout(env, 0.010)
+            # A 5-page read on another PE, itself batched, ends at 42 ms,
+            # inside the chain's second disk phase.  Markers do not bound one
+            # another's horizon, so the chain's cursor has already jumped to
+            # its macro end and the split reschedules the wake.
+            yield from other.read_sequential(5)
             yield from disks.read_random(page_key="hot")
             trace.append(("random", env.now))
 
@@ -234,9 +263,10 @@ def test_disk_chain_split_by_competing_io_is_bit_identical():
         env.process(competitor())
 
     _, disks_a, trace_a = _run_disk(False, workload)
-    _, disks_b, trace_b = _run_disk(True, workload)
+    env_b, disks_b, trace_b = _run_disk(True, workload)
     assert trace_a == trace_b
     assert disks_a.physical_ios == disks_b.physical_ios
+    assert (env_b.events_dispatched, env_b.events_coalesced) == DISK_SPLIT_AFTER_JUMP
 
 
 def test_disk_split_wake_keeps_tie_break_at_shared_boundary():
@@ -283,12 +313,13 @@ def test_disk_split_wake_keeps_tie_break_at_shared_boundary():
         env.process(competitor())
 
     _, _, trace_a = _run_disk(False, workload)
-    _, _, trace_b = _run_disk(True, workload)
+    env_b, _, trace_b = _run_disk(True, workload)
     assert trace_a == trace_b
     # The chain's wake won the controller at the boundary: the interloper's
     # grant is delayed by the chunk's controller time, not vice versa.
     assert trace_b[0][0] == "ctl-grant"
     assert trace_b[0][1] == pytest.approx(0.019 + 0.0056)
+    assert (env_b.events_dispatched, env_b.events_coalesced) == DISK_FIRE_AT_MARKER
 
 
 def test_cpu_lockstep_batches_keep_completion_order():
@@ -321,13 +352,14 @@ def test_cpu_lockstep_batches_keep_completion_order():
         env.process(work("first", first))
         env.process(work("second", second))
         env.run()
-        return trace
+        return env, trace
 
-    trace_a = run(False)
-    trace_b = run(True)
+    _, trace_a = run(False)
+    env_b, trace_b = run(True)
     assert trace_a == trace_b
     assert trace_b[0][0] == "first"
     assert trace_b[1][1] == trace_b[0][1] + 0.010
+    assert (env_b.events_dispatched, env_b.events_coalesced) == CPU_LOCKSTEP_RELAY
 
 
 def test_disk_lockstep_chains_keep_completion_order():
@@ -364,15 +396,16 @@ def test_disk_lockstep_chains_keep_completion_order():
         env.process(scan("first", first))
         env.process(scan("second", second))
         env.run()
-        return trace
+        return env, trace
 
-    trace_a = run(False)
-    trace_b = run(True)
+    _, trace_a = run(False)
+    env_b, trace_b = run(True)
     assert trace_a == trace_b
     # Both scans finish at the same instant; creation order must decide the
     # shared grant, so the batched scan waits out the pacemaker's hold.
     assert trace_b[0][0] == "first"
     assert trace_b[1][1] == trace_b[0][1] + 0.010
+    assert (env_b.events_dispatched, env_b.events_coalesced) == DISK_LOCKSTEP_RELAY
 
 
 def test_cpu_split_wake_keeps_tie_break_at_shared_boundary():
@@ -406,8 +439,9 @@ def test_cpu_split_wake_keeps_tie_break_at_shared_boundary():
         env.process(interloper())
 
     _, _, trace_a = _run_cpu(False, workload)
-    _, _, trace_b = _run_cpu(True, workload)
+    env_b, _, trace_b = _run_cpu(True, workload)
     assert trace_a == trace_b
+    assert (env_b.events_dispatched, env_b.events_coalesced) == CPU_FIRE_AT_MARKER
 
 
 # ---------------------------------------------------------------------------

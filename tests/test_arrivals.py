@@ -13,7 +13,6 @@ from repro.workload import (
     PoissonArrivals,
     SinusoidalArrivals,
     StepArrivals,
-    TraceArrivals,
     WorkloadClass,
     WorkloadGenerator,
     WorkloadSpec,
@@ -103,29 +102,6 @@ def test_mmpp_reset_reproduces_stream():
     first = sample_times(process, n=500, seed=11)
     second = sample_times(process, n=500, seed=11)  # sample_times resets
     assert first == second
-
-
-def test_trace_arrivals_replay_and_exhaust():
-    process = TraceArrivals(times=(1.0, 2.5, 2.75))
-    rng = random.Random(0)
-    assert process.interarrival(0.0, rng) == 1.0
-    assert process.interarrival(1.0, rng) == 1.5
-    assert process.interarrival(2.5, rng) == 0.25
-    assert process.interarrival(2.75, rng) == float("inf")
-
-
-def test_trace_arrivals_emits_record_at_stream_origin():
-    process = TraceArrivals(times=(0.0, 1.0))
-    rng = random.Random(0)
-    assert process.interarrival(0.0, rng) == 0.0  # t=0 record is not dropped
-    assert process.interarrival(0.0, rng) == 1.0
-    process.reset()
-    assert process.interarrival(0.0, rng) == 0.0  # reset rewinds the cursor
-
-
-def test_trace_arrivals_rejects_unsorted():
-    with pytest.raises(ValueError):
-        TraceArrivals(times=(1.0, 1.0))
 
 
 # -- factory ----------------------------------------------------------------------

@@ -216,6 +216,26 @@ def test_single_user_run_rejects_a_fault_plan():
         driver.run_single_user(3)
 
 
+@pytest.mark.parametrize("kind", ["single", "fixed-degree", "analytic"])
+def test_point_execution_refuses_a_plan_on_kinds_that_would_ignore_it(kind):
+    # A hand-built point (as posted straight to ``POST /sweeps``) skips the
+    # Sweep check: executing it must fail, not return a clean result under
+    # a faulted label.
+    from repro.runner.runner import PointExecutionError, execute_point_checked
+    from repro.runner.spec import PointSpec
+
+    point = PointSpec(
+        figure="adhoc", series="s", x=8.0, kind=kind, scenario="homogeneous",
+        num_pe=8, seed=42, strategy="OPT-IO-CPU" if kind == "single" else None,
+        degree=None if kind == "single" else 4, num_queries=2,
+        failures=canonical_failures(CRASH_PLAN),
+    )
+    with pytest.raises(PointExecutionError) as excinfo:
+        execute_point_checked(point)
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert "takes no fault plan" in str(excinfo.value.__cause__)
+
+
 def test_fault_runtime_accepts_empty_plan_and_rejects_bad_pe():
     from repro.faults.injector import FaultRuntime
 

@@ -140,13 +140,12 @@ def test_expansion_resolves_env_run_limits_into_points(monkeypatch):
     assert cache.key(spec.points()[0]) != key_17
 
 
-def test_experiments_mapping_mirrors_registry():
-    from repro.experiments import EXPERIMENTS
+def test_run_scenario_runs_figure6_by_name():
+    from repro.experiments.base import run_scenario
 
-    assert set(EXPERIMENTS) == set(available_scenarios()) - {"parameters"}
-    experiment = EXPERIMENTS["figure6"](system_sizes=(10,), strategies=("OPT-IO-CPU",),
-                                        measured_joins=5, max_simulated_time=20,
-                                        include_single_user=False)
+    experiment = run_scenario("figure6", system_sizes=(10,), strategies=("OPT-IO-CPU",),
+                              measured_joins=5, max_simulated_time=20,
+                              include_single_user=False)
     assert experiment.series_names() == ["OPT-IO-CPU"]
 
 

@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro.experiments.base import default_measured_joins, default_time_limit
-from repro.runner import RunnerConfig
+from repro.runner import ParallelRunner
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -60,10 +60,10 @@ def bench_workers(default: int | None = None) -> int:
     return max(1, value)
 
 
-def bench_runner() -> RunnerConfig:
+def bench_runner() -> ParallelRunner:
     """The runner every figure benchmark uses: :func:`bench_workers`
     processes and no result cache, so each run simulates every point."""
-    return RunnerConfig(workers=bench_workers(), no_cache=True)
+    return ParallelRunner(workers=bench_workers())
 
 
 @pytest.fixture

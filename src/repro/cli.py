@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # Only the queue side loads with the parser: each subcommand imports what it
 # runs, so `serve` and `status` start without the simulator.
 from repro.config.parameters import OltpConfig, SystemConfig
-from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
+from repro.runner.backends.base import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW, ScenarioSpec, Sweep
 from repro.workload.arrivals import ARRIVAL_KINDS
 
@@ -374,9 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    from repro.runner.config import RunnerConfig
+    """The runner the runner flags select: a coordinator with ``--url``,
+    else a local pool of ``--workers`` processes over the result cache."""
+    if args.url is not None:
+        from repro.runner.distributed import DistributedRunner
 
-    return RunnerConfig.from_args(args).make_runner()
+        if args.no_cache or args.cache_dir:
+            print(
+                "note: distributed runs keep results in the coordinator's store; "
+                "--no-cache/--cache-dir are ignored",
+                file=sys.stderr,
+            )
+        return DistributedRunner(
+            args.url,
+            max_attempts=args.max_retries or DEFAULT_MAX_ATTEMPTS,
+            timeout=args.queue_timeout,
+        )
+    from repro.runner.cache import ResultCache
+    from repro.runner.runner import ParallelRunner
+
+    return ParallelRunner(args.workers, None if args.no_cache else ResultCache(args.cache_dir))
 
 
 def _run_simulate(args: argparse.Namespace) -> int:

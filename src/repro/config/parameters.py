@@ -72,6 +72,10 @@ class CpuConfig:
         """Service time in seconds for a CPU request of ``instructions``."""
         return instructions / (self.mips * 1e6)
 
+    def scaled(self, factor: float) -> "CpuConfig":
+        """This CPU at ``factor`` times its speed (itself at 1.0)."""
+        return self if factor == 1.0 else replace(self, mips=self.mips * factor)
+
 
 @dataclass(frozen=True)
 class DiskConfig:
@@ -96,6 +100,19 @@ class DiskConfig:
     def controller_time(self, pages: int) -> float:
         """Controller + transmission time for ``pages`` pages."""
         return pages * (self.controller_service_time + self.transmission_time_per_page)
+
+    def scaled(self, factor: float) -> "DiskConfig":
+        """These disks at ``factor`` times their speed: every per-page and
+        access time is divided by it (itself at 1.0)."""
+        if factor == 1.0:
+            return self
+        return replace(
+            self,
+            controller_service_time=self.controller_service_time / factor,
+            transmission_time_per_page=self.transmission_time_per_page / factor,
+            avg_access_time=self.avg_access_time / factor,
+            prefetch_delay_per_page=self.prefetch_delay_per_page / factor,
+        )
 
 
 @dataclass(frozen=True)
@@ -483,28 +500,19 @@ class SystemConfig:
         key = ("cpu", node_class.name)
         cached = self._effective_cache.get(key)
         if cached is None:
-            cached = replace(self.cpu, mips=self.cpu.mips * node_class.mips_factor)
-            self._effective_cache[key] = cached
+            cached = self._effective_cache[key] = self.cpu.scaled(node_class.mips_factor)
         return cached
 
     def effective_disk(self, pe_id: int) -> DiskConfig:
-        """Disk configuration of ``pe_id``; ``disk_factor`` scales *speed*,
-        so every per-page and access time is divided by it."""
+        """Disk configuration of ``pe_id``; ``disk_factor`` scales *speed*
+        (see :meth:`DiskConfig.scaled`)."""
         node_class = self.node_class_of(pe_id)
         if node_class is None or node_class.disk_factor == 1.0:
             return self.disk
         key = ("disk", node_class.name)
         cached = self._effective_cache.get(key)
         if cached is None:
-            factor = node_class.disk_factor
-            cached = replace(
-                self.disk,
-                controller_service_time=self.disk.controller_service_time / factor,
-                transmission_time_per_page=self.disk.transmission_time_per_page / factor,
-                avg_access_time=self.disk.avg_access_time / factor,
-                prefetch_delay_per_page=self.disk.prefetch_delay_per_page / factor,
-            )
-            self._effective_cache[key] = cached
+            cached = self._effective_cache[key] = self.disk.scaled(node_class.disk_factor)
         return cached
 
     def effective_buffer_pages(self, pe_id: int) -> int:

@@ -54,17 +54,6 @@ class BTreeIndex:
         # Root-to-leaf descent plus the additional matching leaf pages.
         return self.height + max(0, matching_leaves - 1)
 
-    def data_pages_for_range(self, selectivity: float, data_pages: int) -> int:
-        """Data pages accessed by a range scan via this index."""
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError(f"selectivity {selectivity} outside [0, 1]")
-        matching = math.ceil(data_pages * selectivity) if selectivity else 0
-        if self.clustered:
-            return matching
-        # Unclustered: one page access per matching tuple is the upper bound;
-        # we bound it by the relation size times a small clustering factor.
-        return matching
-
     def data_page_accesses_for_tuples(self, matching_tuples: int, data_pages: int) -> int:
         """Data page accesses when fetching ``matching_tuples`` via the index."""
         if matching_tuples <= 0:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.timeline import Timeline, TimelineWindow
 from repro.simulation.results import AggregatedResult, SimulationResult, aggregate_results
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "default_time_limit",
     "run_scenario",
     "format_table",
+    "render_window_table",
+    "named_entries",
 ]
 
 #: Tolerance for treating two x coordinates as the same table row.  x values
@@ -310,15 +313,71 @@ def format_table(result: ExperimentResult, metric, unit: str, ci_metric=None) ->
     return "\n".join(lines)
 
 
-def _resolve_runner(runner=None):
-    """A runner from ``None`` (serial, uncached), a config, or a runner."""
-    from repro.runner import RunnerConfig
+def _timeline_columns(result: ExperimentResult) -> Dict[str, Timeline]:
+    """Curve label -> timeline, in series order (x-qualified when needed).
 
-    if runner is None:
-        return RunnerConfig(no_cache=True).make_runner()
-    if isinstance(runner, RunnerConfig):
-        return runner.make_runner()
-    return runner  # an already-built runner (anything with .run)
+    Each curve keeps its first point's timeline (replicate 0 of a plain
+    result); points without a timeline are skipped.
+    """
+    columns: Dict[str, Timeline] = {}
+    multiple_x = len(result.x_values()) > 1
+    for series in result.series_names():
+        for point in result.series(series):
+            if point.result.timeline is None:
+                continue
+            label = f"{series} (x={point.x:g})" if multiple_x else series
+            columns.setdefault(label, point.result.timeline)
+    return columns
+
+
+def render_window_table(result: ExperimentResult, heading: str,
+                        cell: Callable[[TimelineWindow], str], anomalies: bool = False) -> str:
+    """Render every curve's timeline as a per-window text table.
+
+    One row per ``[start, end)`` window, one column per curve; ``cell``
+    formats one window, and a curve that lacks a window leaves its cell
+    blank.  Works on plain and aggregated results (aggregated windows are
+    replicate means).  With ``anomalies`` a trailing block lists, per
+    curve, the windows an injected anomaly overlapped and its ``kind:peN``
+    label.
+    """
+    columns = _timeline_columns(result)
+    if not columns:
+        return "(no timeline data)"
+    rows: Dict[Tuple[float, float], Dict[str, str]] = {}
+    for label, timeline in columns.items():
+        for window in timeline:
+            rows.setdefault((window.start, window.end), {})[label] = cell(window)
+    width = max([12] + [len(label) + 2 for label in columns])
+    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in columns)
+    lines = [f"{result.title} -- {heading}", header, "-" * len(header)]
+    for (start, end), cells in sorted(rows.items()):
+        rendered = " | ".join(f"{cells.get(label, ''):>{width}}" for label in columns)
+        lines.append(f"[{start:6.1f},{end:6.1f}) | {rendered}")
+    if anomalies:
+        marked = {
+            label: "; ".join(
+                f"[{window.start:g},{window.end:g}) {window.anomaly}"
+                for window in timeline if window.anomaly
+            )
+            for label, timeline in columns.items()
+        }
+        if any(marked.values()):
+            lines.append("anomaly windows:")
+            lines.extend(f"  {label}: {text}" for label, text in marked.items() if text)
+    return "\n".join(lines)
+
+
+def named_entries(table: Sequence[Tuple[str, object]], names: Sequence[str], what: str) -> tuple:
+    """The entries of ``table`` (``(name, entry)`` pairs) named by ``names``.
+
+    Raises ``ValueError`` naming every unknown name and the known ones.
+    """
+    lookup = dict(table)
+    unknown = [name for name in names if name not in lookup]
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; expected {[n for n, _ in table]}")
+    return tuple(lookup[name] for name in names)
 
 
 def run_scenario(
@@ -332,13 +391,12 @@ def run_scenario(
     Looks ``name`` up in the scenario registry, builds its spec with
     ``build_kwargs`` (the builder's own axes: ``system_sizes``,
     ``strategies``, ``max_simulated_time``, ...), applies ``replicates``
-    and runs it through ``runner`` -- ``None`` for a serial, uncached run, a
-    :class:`~repro.runner.RunnerConfig` describing any driver, or a
-    pre-built runner.
+    and runs it through ``runner`` -- any runner (``ParallelRunner``,
+    ``DistributedRunner``), or ``None`` for a serial, uncached run.
     """
-    from repro.runner import build_scenario
+    from repro.runner import ParallelRunner, build_scenario
 
     spec = build_scenario(name, **build_kwargs)
     if replicates > 1:
         spec = spec.with_replicates(replicates)
-    return _resolve_runner(runner).run(spec)
+    return (runner or ParallelRunner()).run(spec)

@@ -30,9 +30,9 @@ strategy; the registered extra table renders the per-window time series, and
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, render_window_table
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
@@ -69,34 +69,10 @@ def render_timeline_table(
     plain and aggregated results (aggregated cells are window-wise replicate
     means).
     """
-    columns: Dict[str, object] = {}
-    multiple_x = len(result.x_values()) > 1
-    for series in result.series_names():
-        for point in result.series(series):
-            if point.result.timeline is None:
-                continue
-            label = f"{series} (x={point.x:g})" if multiple_x else series
-            columns.setdefault(label, point.result.timeline)
-    if not columns:
-        return "(no timeline data)"
-    rows: Dict[Tuple[float, float], Dict[str, float]] = {}
-    for label, timeline in columns.items():
-        for window in timeline:
-            rows.setdefault((window.start, window.end), {})[label] = (
-                getattr(window, metric) * scale
-            )
-    labels = list(columns)
-    width = max([12] + [len(label) + 2 for label in labels])
-    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in labels)
-    lines = [f"{result.title} -- {metric} per window ({unit})", header, "-" * len(header)]
-    for (start, end) in sorted(rows):
-        cells = rows[(start, end)]
-        rendered = " | ".join(
-            f"{cells[label]:>{width}.1f}" if label in cells else " " * width
-            for label in labels
-        )
-        lines.append(f"[{start:6.1f},{end:6.1f}) | {rendered}")
-    return "\n".join(lines)
+    return render_window_table(
+        result, f"{metric} per window ({unit})",
+        lambda window: f"{getattr(window, metric) * scale:.1f}",
+    )
 
 
 def build_spec(

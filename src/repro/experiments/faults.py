@@ -32,9 +32,9 @@ availability/anomaly fields on every ``row_type="window"`` row.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, named_entries, render_window_table
 from repro.faults.plan import FailuresEntry, FaultEvent, encode_failures
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
@@ -63,19 +63,6 @@ FAULT_PLANS: Tuple[Tuple[str, Optional[FailuresEntry]], ...] = (
 )
 
 
-def _columns(result: ExperimentResult) -> Dict[str, object]:
-    """Curve label -> timeline, in series order (x-qualified when needed)."""
-    columns: Dict[str, object] = {}
-    multiple_x = len(result.x_values()) > 1
-    for series in result.series_names():
-        for point in result.series(series):
-            if point.result.timeline is None:
-                continue
-            label = f"{series} (x={point.x:g})" if multiple_x else series
-            columns.setdefault(label, point.result.timeline)
-    return columns
-
-
 def render_recovery_table(result: ExperimentResult) -> str:
     """Per-window join response time (ms), ``--`` when nothing completed.
 
@@ -83,30 +70,13 @@ def render_recovery_table(result: ExperimentResult) -> str:
     response-time spike of the windows overlapping the fault -- and how many
     windows it takes to drain back to the clean baseline -- is the
     strategy's recovery behaviour.  Windows in which no join completed
-    render as ``--`` (a saturated or halted window has no mean, not a zero
-    mean).
+    render as ``--`` (their ``join_rt_mean`` is a filler 0.0: a saturated
+    or halted window has no mean, not a zero mean).
     """
-    columns = _columns(result)
-    if not columns:
-        return "(no timeline data)"
-    rows: Dict[Tuple[float, float], Dict[str, str]] = {}
-    for label, timeline in columns.items():
-        for window in timeline:
-            # Guard the no-completion window: its join_rt_mean is a filler
-            # 0.0, not a measurement -- render it as missing.
-            cell = f"{window.join_rt_mean * 1e3:.1f}" if window.joins_completed else "--"
-            rows.setdefault((window.start, window.end), {})[label] = cell
-    labels = list(columns)
-    width = max([12] + [len(label) + 2 for label in labels])
-    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in labels)
-    lines = [f"{result.title} -- join response time per window (ms)", header, "-" * len(header)]
-    for (start, end) in sorted(rows):
-        cells = rows[(start, end)]
-        rendered = " | ".join(
-            f"{cells[label]:>{width}}" if label in cells else " " * width for label in labels
-        )
-        lines.append(f"[{start:6.1f},{end:6.1f}) | {rendered}")
-    return "\n".join(lines)
+    return render_window_table(
+        result, "join response time per window (ms)",
+        lambda window: f"{window.join_rt_mean * 1e3:.1f}" if window.joins_completed else "--",
+    )
 
 
 def render_availability_table(result: ExperimentResult) -> str:
@@ -116,42 +86,10 @@ def render_availability_table(result: ExperimentResult) -> str:
     (1.00 on clean runs); the trailing block lists, per curve, the windows
     an injected anomaly overlapped and its ``kind:peN`` label.
     """
-    columns = _columns(result)
-    if not columns:
-        return "(no timeline data)"
-    rows: Dict[Tuple[float, float], Dict[str, str]] = {}
-    anomalies: Dict[str, List[str]] = {}
-    for label, timeline in columns.items():
-        for window in timeline:
-            rows.setdefault((window.start, window.end), {})[label] = f"{window.availability:.2f}"
-            if window.anomaly:
-                anomalies.setdefault(label, []).append(
-                    f"[{window.start:g},{window.end:g}) {window.anomaly}"
-                )
-    labels = list(columns)
-    width = max([12] + [len(label) + 2 for label in labels])
-    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in labels)
-    lines = [f"{result.title} -- processor availability per window", header, "-" * len(header)]
-    for (start, end) in sorted(rows):
-        cells = rows[(start, end)]
-        rendered = " | ".join(
-            f"{cells[label]:>{width}}" if label in cells else " " * width for label in labels
-        )
-        lines.append(f"[{start:6.1f},{end:6.1f}) | {rendered}")
-    if anomalies:
-        lines.append("anomaly windows:")
-        for label in labels:
-            if label in anomalies:
-                lines.append(f"  {label}: " + "; ".join(anomalies[label]))
-    return "\n".join(lines)
-
-
-def _entries(names: Sequence[str]) -> Tuple[Optional[FailuresEntry], ...]:
-    table = dict(FAULT_PLANS)
-    unknown = [name for name in names if name not in table]
-    if unknown:
-        raise ValueError(f"unknown fault plan(s) {unknown}; expected {[n for n, _ in FAULT_PLANS]}")
-    return tuple(table[name] for name in names)
+    return render_window_table(
+        result, "processor availability per window",
+        lambda window: f"{window.availability:.2f}", anomalies=True,
+    )
 
 
 def build_spec(
@@ -180,7 +118,7 @@ def build_spec(
         system_sizes=tuple(system_sizes),
         rates=(rate_per_pe,),
         timeline_window=timeline_window,
-        failures=_entries(fault_names),
+        failures=named_entries(FAULT_PLANS, fault_names, "fault plan(s)"),
         series="{strategy} [{failures}]",
     )
     return ScenarioSpec(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, named_entries
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
 __all__ = [
@@ -148,16 +148,6 @@ def render_class_util_table(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def _entries(table: Tuple[Tuple[str, Optional[tuple]], ...], names: Sequence[str]):
-    lookup = dict(table)
-    unknown = [name for name in names if name not in lookup]
-    if unknown:
-        raise ValueError(
-            f"unknown name(s) {unknown}; expected a subset of {[n for n, _ in table]}"
-        )
-    return tuple(lookup[name] for name in names)
-
-
 def build_spec(
     system_sizes: Sequence[int] = (20,),
     strategies: Sequence[str] = STRATEGIES,
@@ -191,7 +181,7 @@ def build_spec(
     )
     sweeps = [
         Sweep(
-            node_classes=_entries(NODE_MIXES, node_mixes),
+            node_classes=named_entries(NODE_MIXES, node_mixes, "node mix(es)"),
             series="{strategy} [{nodes}]",
             **common,
         )
@@ -200,8 +190,8 @@ def build_spec(
     if tiered:
         sweeps.append(
             Sweep(
-                node_classes=_entries(NODE_MIXES, ("fast-half",)),
-                topologies=_entries(TOPOLOGIES, tiered),
+                node_classes=named_entries(NODE_MIXES, ("fast-half",), "node mix(es)"),
+                topologies=named_entries(TOPOLOGIES, tiered, "topology tier(s)"),
                 series="{strategy} [{nodes},{topology}]",
                 **common,
             )

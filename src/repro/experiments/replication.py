@@ -39,10 +39,10 @@ a single crash) from outage (``none``: < 1 with zero completions).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.faults import _columns, render_recovery_table
+from repro.experiments.base import ExperimentResult, named_entries, render_window_table
+from repro.experiments.faults import render_recovery_table
 from repro.faults.plan import FailuresEntry, FaultEvent, encode_failures
 from repro.runner import ScenarioSpec, Sweep, register_scenario
 
@@ -88,50 +88,10 @@ def render_effective_availability_table(result: ExperimentResult) -> str:
     that keep every fragment reachable through a failure; below 1.0 when
     data became unreachable (every copy dead).
     """
-    columns = _columns(result)
-    if not columns:
-        return "(no timeline data)"
-    rows: Dict[Tuple[float, float], Dict[str, str]] = {}
-    anomalies: Dict[str, List[str]] = {}
-    for label, timeline in columns.items():
-        for window in timeline:
-            rows.setdefault((window.start, window.end), {})[
-                label
-            ] = f"{window.effective_availability:.2f}"
-            if window.anomaly:
-                anomalies.setdefault(label, []).append(
-                    f"[{window.start:g},{window.end:g}) {window.anomaly}"
-                )
-    labels = list(columns)
-    width = max([12] + [len(label) + 2 for label in labels])
-    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in labels)
-    lines = [
-        f"{result.title} -- effective (data) availability per window",
-        header,
-        "-" * len(header),
-    ]
-    for (start, end) in sorted(rows):
-        cells = rows[(start, end)]
-        rendered = " | ".join(
-            f"{cells[label]:>{width}}" if label in cells else " " * width for label in labels
-        )
-        lines.append(f"[{start:6.1f},{end:6.1f}) | {rendered}")
-    if anomalies:
-        lines.append("anomaly windows:")
-        for label in labels:
-            if label in anomalies:
-                lines.append(f"  {label}: " + "; ".join(anomalies[label]))
-    return "\n".join(lines)
-
-
-def _entries(names: Sequence[str]) -> Tuple[Optional[FailuresEntry], ...]:
-    table = dict(FAULT_PLANS)
-    unknown = [name for name in names if name not in table]
-    if unknown:
-        raise ValueError(
-            f"unknown fault plan(s) {unknown}; expected {[n for n, _ in FAULT_PLANS]}"
-        )
-    return tuple(table[name] for name in names)
+    return render_window_table(
+        result, "effective (data) availability per window",
+        lambda window: f"{window.effective_availability:.2f}", anomalies=True,
+    )
 
 
 def build_spec(
@@ -162,7 +122,7 @@ def build_spec(
         rates=(rate_per_pe,),
         timeline_window=timeline_window,
         topologies=(TOPOLOGY,),
-        failures=_entries(fault_names),
+        failures=named_entries(FAULT_PLANS, fault_names, "fault plan(s)"),
         replication=tuple(replication),
         series="{strategy} {replication} [{failures}]",
     )

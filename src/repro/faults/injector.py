@@ -20,7 +20,6 @@ about twice the live transactions.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.database.allocation import failover_scan_sites
@@ -371,28 +370,8 @@ class FaultRuntime:
         disk_batch = pe.disks._batch
         if disk_batch is not None:
             disk_batch.preempt()
-        cpu_factor = self.cpu_factor[pe_id]
-        base_cpu = self._base_cpu[pe_id]
-        pe.cpu.config = (
-            base_cpu
-            if cpu_factor == 1.0
-            else replace(base_cpu, mips=base_cpu.mips * cpu_factor)
-        )
-        disk_factor = self.disk_factor[pe_id]
-        base_disk = self._base_disk[pe_id]
-        # Mirrors SystemConfig.effective_disk: disk_factor scales *speed*,
-        # so every per-page and access time is divided by it.
-        pe.disks.config = (
-            base_disk
-            if disk_factor == 1.0
-            else replace(
-                base_disk,
-                controller_service_time=base_disk.controller_service_time / disk_factor,
-                transmission_time_per_page=base_disk.transmission_time_per_page / disk_factor,
-                avg_access_time=base_disk.avg_access_time / disk_factor,
-                prefetch_delay_per_page=base_disk.prefetch_delay_per_page / disk_factor,
-            )
-        )
+        pe.cpu.config = self._base_cpu[pe_id].scaled(self.cpu_factor[pe_id])
+        pe.disks.config = self._base_disk[pe_id].scaled(self.disk_factor[pe_id])
         self._sync_status(pe_id)
 
     def _sync_status(self, pe_id: int) -> None:
@@ -468,7 +447,6 @@ class FaultRuntime:
     def _re_replicate(self, pe_id: int):
         """Ship the lost fragments' pages from their surviving copy."""
         catalog = self.system.catalog
-        page_size = self.system.config.buffer.page_size_bytes
         for name in catalog.names:
             relation = catalog.relation(name)
             if not relation.backups or not relation.has_fragment_on(pe_id):
@@ -480,13 +458,15 @@ class FaultRuntime:
             if target is None or target == backup:
                 continue
             pages = relation.fragment_on(pe_id).pages
-            if pages <= 0:
-                continue
-            yield from self.system.network.transfer_chain(
-                [page_size] * pages, src=backup, dst=target
-            )
-            yield from self.system.pes[target].disks.write_sequential(pages)
-            self.rebalanced_pages += pages
+            if pages > 0:
+                yield from self._ship_pages(backup, target, pages)
+
+    def _ship_pages(self, src: int, dst: int, pages: int):
+        """Copy ``pages`` pages from ``src`` onto ``dst``'s disks."""
+        page_size = self.system.config.buffer.page_size_bytes
+        yield from self.system.network.transfer_chain([page_size] * pages, src=src, dst=dst)
+        yield from self.system.pes[dst].disks.write_sequential(pages)
+        self.rebalanced_pages += pages
 
     def _kill_record(self, record: _TxnRecord) -> None:
         self.kills += 1
@@ -539,12 +519,7 @@ class FaultRuntime:
         """Ship partitions onto the joining PE, then admit it to the pool."""
         donor = self._next_eligible(event.pe)
         if event.pages > 0 and donor is not None:
-            page_size = self.system.config.buffer.page_size_bytes
-            yield from self.system.network.transfer_chain(
-                [page_size] * event.pages, src=donor, dst=event.pe
-            )
-            yield from self.system.pes[event.pe].disks.write_sequential(event.pages)
-            self.rebalanced_pages += event.pages
+            yield from self._ship_pages(donor, event.pe, event.pages)
         self.joined[event.pe] = True
         self._step(self.env.now)
         self._sync_status(event.pe)
@@ -577,10 +552,5 @@ class FaultRuntime:
                 yield self.env.timeout(0.25)
         receiver = self._next_eligible(event.pe)
         if event.pages > 0 and receiver is not None and self.alive[event.pe]:
-            page_size = self.system.config.buffer.page_size_bytes
-            yield from self.system.network.transfer_chain(
-                [page_size] * event.pages, src=event.pe, dst=receiver
-            )
-            yield from self.system.pes[receiver].disks.write_sequential(event.pages)
-            self.rebalanced_pages += event.pages
+            yield from self._ship_pages(event.pe, receiver, event.pages)
         window.end = self.env.now

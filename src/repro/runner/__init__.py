@@ -1,6 +1,6 @@
 """Declarative scenario engine and parallel experiment runner.
 
-The experiment layer is split into three pieces:
+The experiment layer is split into these pieces:
 
 * :mod:`repro.runner.spec` -- :class:`ScenarioSpec`/:class:`Sweep`
   dataclasses that declare a figure (or an ad-hoc sweep) as *data*: axes
@@ -20,10 +20,6 @@ The experiment layer is split into three pieces:
   and executes tasks through that client, and the
   :class:`~repro.runner.distributed.DistributedRunner` that enqueues a
   spec on the coordinator and folds the results in expansion order.
-
-:class:`~repro.runner.config.RunnerConfig` is the single construction path
-from user-facing options (CLI flags, test fixtures, figure wrappers) to the
-serial / process-pool / distributed runner they describe.
 """
 
 from repro import _lazy_exports
@@ -34,7 +30,6 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.runner.backends": ("HttpBackend", "MemoryBackend"),
     "repro.runner.cache": ("ResultCache", "default_cache_dir", "point_key"),
-    "repro.runner.config": ("RunnerConfig",),
     "repro.runner.distributed": ("DistributedRunner",),
     "repro.runner.registry": (
         "available_scenarios",

@@ -39,11 +39,11 @@ __all__ = ["DistributedRunner"]
 class DistributedRunner(ParallelRunner):
     """Runs scenario points through a coordinator's work queue.
 
-    Inherits ``run``/``run_aggregated`` (spec expansion, result folding,
-    aggregation) from :class:`ParallelRunner`; only point execution is
-    replaced.  The first argument is the coordinator's URL (or a client of
-    it).  ``timeout=None`` waits indefinitely -- pass a bound when no worker
-    may be running (e.g. in CI) so a dead queue fails loudly instead of
+    Inherits ``run`` (spec expansion and result folding) from
+    :class:`ParallelRunner`; only point execution is replaced.  The first
+    argument is the coordinator's URL (or a client of it).
+    ``timeout=None`` waits indefinitely -- pass a bound when no worker may
+    be running (e.g. in CI) so a dead queue fails loudly instead of
     hanging.
     """
 
@@ -64,13 +64,10 @@ class DistributedRunner(ParallelRunner):
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
         self.timeout = timeout
-        self.last_enqueue: Optional[EnqueueSummary] = None
 
     def dispatch(self, points: Sequence[PointSpec]) -> EnqueueSummary:
         """Enqueue the points' unfinished tasks without waiting for them."""
-        summary = self.queue.enqueue(points, max_attempts=self.max_attempts)
-        self.last_enqueue = summary
-        return summary
+        return self.queue.enqueue(points, max_attempts=self.max_attempts)
 
     def run_points(self, points: Sequence[PointSpec]) -> List[SimulationResult]:
         """Enqueue, wait for workers, and collect results in input order.

@@ -357,14 +357,6 @@ class ParallelRunner:
             )
         return experiment
 
-    def run_aggregated(self, spec: ScenarioSpec) -> "AggregatedExperimentResult":
-        """Run a scenario and fold replicates into mean / stddev / 95 % CI.
-
-        Aggregates are bit-identical at any worker count: replicate results
-        are folded in expansion order regardless of completion order.
-        """
-        return self.run(spec).aggregate()
-
     def run_points(self, points: Sequence[PointSpec]) -> List[SimulationResult]:
         """Run points (cache-aware), preserving input order in the output."""
         results: Dict[int, SimulationResult] = {}

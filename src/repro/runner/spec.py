@@ -399,19 +399,6 @@ class ScenarioSpec:
     def points(self) -> Tuple["PointSpec", ...]:
         return expand(self)
 
-    def with_limits(
-        self,
-        measured_joins: Optional[int] = None,
-        max_simulated_time: Optional[float] = None,
-    ) -> "ScenarioSpec":
-        """Copy with run limits replaced (``None`` keeps the current value)."""
-        updates = {}
-        if measured_joins is not None:
-            updates["measured_joins"] = measured_joins
-        if max_simulated_time is not None:
-            updates["max_simulated_time"] = max_simulated_time
-        return replace(self, **updates) if updates else self
-
     def with_replicates(self, replicates: int) -> "ScenarioSpec":
         """Copy with every sweep set to ``replicates`` repetitions per point."""
         if replicates < 1:

@@ -454,6 +454,7 @@ def test_network_transfer_chain_is_bit_identical_and_saves_events():
     def run(chain):
         env = Environment()
         net = Network(env, NetworkConfig(), InstructionCosts())
+        net._coalesce = True  # fold the chain even under REPRO_COALESCE=0
         done = []
 
         def sender():

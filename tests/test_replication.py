@@ -331,8 +331,8 @@ def test_failure_preserves_completed_sibling_work_in_cache(tmp_path):
 # -- end-to-end determinism and export -------------------------------------------
 def test_aggregates_identical_across_worker_counts():
     spec = tiny_spec(replicates=2)
-    serial = ParallelRunner(workers=1).run_aggregated(spec)
-    parallel = ParallelRunner(workers=4).run_aggregated(spec)
+    serial = ParallelRunner(workers=1).run(spec).aggregate()
+    parallel = ParallelRunner(workers=4).run(spec).aggregate()
     assert [(p.series, p.x, p.aggregate) for p in serial.points] == [
         (p.series, p.x, p.aggregate) for p in parallel.points
     ]

@@ -303,7 +303,7 @@ def test_perturb_validation():
 
 def test_perturbed_replicates_aggregate_under_nominal_coordinate():
     runner = ParallelRunner(workers=1)
-    aggregated = runner.run_aggregated(perturbed_spec(replicates=2))
+    aggregated = runner.run(perturbed_spec(replicates=2)).aggregate()
     assert len(aggregated.points) == 1
     assert aggregated.points[0].n == 2
 

@@ -1,10 +1,13 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks for two control parameters the paper fixes.
 
-Two ablations beyond the paper's own figures:
+The paper's figures run one exponent in formula (3.2) and one adaptive
+correction of the control-node data (§3.2).  These two benchmarks vary each
+on a 60-PE homogeneous system running pmu_cpu+LUM, to show what the fixed
+value changes:
 
 * the CPU-reduction exponent of formula (3.2) -- how aggressively pmu-cpu
   throttles parallelism under load;
-* the control-node adaptive correction (LUM's artificial memory adjustment)
+* the control node's artificial CPU increase per assigned join processor
   -- what happens when consecutive queries see stale, unadapted load data.
 """
 

@@ -473,29 +473,31 @@ def _experiment_spec(args: argparse.Namespace) -> ScenarioSpec:
 
     ``dispatch`` and ``experiment --url`` must expand identical
     point sets for the same axes, so both go through this one builder.
+    Every option given goes to the builder; one it does not take is an
+    error naming the scenario and the option.
     """
     from repro.runner.registry import build_scenario
 
-    kwargs = {}
-    if args.figure == "figure1":
-        # Fig. 1 is a single-user sweep over the degree of parallelism.
-        if args.joins is not None:
-            kwargs["queries_per_point"] = max(1, args.joins // 10)
-        if args.sizes:
-            kwargs["degrees"] = args.sizes
-    elif args.figure == "parameters":
-        pass  # static table, no axes
-    else:
-        if args.joins is not None:
-            kwargs["measured_joins"] = args.joins
-        if args.time_limit is not None:
-            kwargs["max_simulated_time"] = args.time_limit
-        if args.sizes:
-            if args.figure == "figure8":
-                print("note: --sizes is ignored for figure8 (fixed 60 PE)", file=sys.stderr)
-            else:
-                kwargs["system_sizes"] = args.sizes
-    return build_scenario(args.figure, **kwargs)
+    figure1 = args.figure == "figure1"  # a single-user sweep over the degree
+    options = {}  # CLI flag -> (builder keyword, value)
+    if args.joins is not None:
+        options["--joins"] = (
+            ("queries_per_point", max(1, args.joins // 10)) if figure1
+            else ("measured_joins", args.joins)
+        )
+    if args.time_limit is not None:
+        options["--time-limit"] = ("max_simulated_time", args.time_limit)
+    if args.sizes:
+        options["--sizes"] = ("degrees" if figure1 else "system_sizes", args.sizes)
+    try:
+        return build_scenario(args.figure, **dict(options.values()))
+    except TypeError as exc:
+        rejected = [flag for flag, (name, _) in options.items() if f"'{name}'" in str(exc)]
+        if not rejected:
+            raise
+        raise SystemExit(
+            f"scenario {args.figure!r} does not take {' '.join(rejected)} ({exc})"
+        ) from None
 
 
 def _run_experiment(args: argparse.Namespace) -> int:

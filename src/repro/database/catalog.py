@@ -6,7 +6,7 @@ from typing import Dict, List
 
 from repro.config.parameters import SystemConfig
 from repro.database.allocation import allocate_paper_database
-from repro.database.relation import Fragment, Relation
+from repro.database.relation import Relation
 
 __all__ = ["Catalog"]
 
@@ -52,15 +52,3 @@ class Catalog:
         if relation.name in self._relations:
             raise ValueError(f"relation {relation.name!r} already registered")
         self._relations[relation.name] = relation
-
-    def fragments_on(self, pe_id: int) -> List[Fragment]:
-        """All fragments stored on a given PE (any relation)."""
-        found = []
-        for relation in self._relations.values():
-            if relation.has_fragment_on(pe_id):
-                found.append(relation.fragment_on(pe_id))
-        return found
-
-    def nodes_of(self, name: str) -> List[int]:
-        """PE identifiers holding fragments of the named relation."""
-        return self.relation(name).node_ids

@@ -1,8 +1,8 @@
 """B+-tree index model.
 
-Indices are not materialised; the model estimates the number of index page
-accesses (and hence I/O and CPU work) for clustered and unclustered index
-scans, which is what the workload processing layer needs.
+Indices are not materialised; the model derives the tree height, which a
+clustered-index scan (:func:`repro.execution.operators.plan_scan`) charges as
+its root-to-leaf descent before reading the matching data pages.
 """
 
 from __future__ import annotations
@@ -40,24 +40,3 @@ class BTreeIndex:
             nodes = math.ceil(nodes / self.entries_per_page)
             levels += 1
         return levels
-
-    @property
-    def leaf_pages(self) -> int:
-        """Number of leaf pages of the index."""
-        return max(1, math.ceil(self.num_entries / self.entries_per_page))
-
-    def index_pages_for_range(self, selectivity: float) -> int:
-        """Index pages traversed for a range scan of the given selectivity."""
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError(f"selectivity {selectivity} outside [0, 1]")
-        matching_leaves = math.ceil(self.leaf_pages * selectivity) if selectivity else 0
-        # Root-to-leaf descent plus the additional matching leaf pages.
-        return self.height + max(0, matching_leaves - 1)
-
-    def data_page_accesses_for_tuples(self, matching_tuples: int, data_pages: int) -> int:
-        """Data page accesses when fetching ``matching_tuples`` via the index."""
-        if matching_tuples <= 0:
-            return 0
-        if self.clustered:
-            return min(data_pages, matching_tuples)
-        return matching_tuples  # each tuple may live on a different page

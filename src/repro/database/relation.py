@@ -84,21 +84,6 @@ class Relation:
     def has_fragment_on(self, pe_id: int) -> bool:
         return pe_id in self.fragments
 
-    def total_fragment_tuples(self) -> int:
-        """Sum of tuples over all fragments (== num_tuples up to rounding)."""
-        return sum(frag.num_tuples for frag in self.fragments.values())
-
-    def matching_tuples(self, selectivity: float) -> int:
-        """Total tuples matching a predicate of the given selectivity."""
-        return round(self.num_tuples * selectivity)
-
-    def matching_pages(self, selectivity: float) -> int:
-        """Total pages holding matching tuples under clustered storage."""
-        matching = self.matching_tuples(selectivity)
-        if matching == 0:
-            return 0
-        return math.ceil(matching / self.config.blocking_factor)
-
     def backup_of(self, pe_id: int) -> Optional[int]:
         """PE holding the backup copy of ``pe_id``'s fragment (None if none)."""
         return self.backups.get(pe_id)

@@ -1,4 +1,4 @@
-"""Node engine: buffer, locking, deadlock detection, transactions, 2PC, PE."""
+"""Node engine: buffer, locking, deadlock detection, MPL admission, read-only commit, PE."""
 
 from repro.engine.buffer import BufferManager, WorkingSpace
 from repro.engine.deadlock import DeadlockDetector

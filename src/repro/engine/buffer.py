@@ -55,7 +55,6 @@ class _PendingReservation:
     desired_pages: int
     min_pages: int
     steal_callback: Optional[StealCallback]
-    enqueue_time: float
 
 
 class BufferManager:
@@ -76,9 +75,6 @@ class BufferManager:
         self._working_spaces: List[WorkingSpace] = []
         self._memory_queue: Deque[_PendingReservation] = deque()
         self.occupancy = TimeWeightedMonitor(env, initial=0.0, name=f"buffer[{pe_id}]")
-        self.reservations_granted = 0
-        self.pages_stolen = 0
-        self.oltp_pages_evicted = 0
 
     # -- inspection --------------------------------------------------------
     @property
@@ -151,7 +147,6 @@ class BufferManager:
                 desired_pages=desired_pages,
                 min_pages=min_pages,
                 steal_callback=steal_callback,
-                enqueue_time=self.env.now,
             )
         )
         self._serve_queue()
@@ -197,7 +192,6 @@ class BufferManager:
         evicted = min(pages, self._evictable_oltp_pages())
         if evicted > 0:
             self._oltp_pages -= evicted
-            self.oltp_pages_evicted += evicted
             self._set_free(self._free_pages + evicted)
         return evicted
 
@@ -224,7 +218,6 @@ class BufferManager:
             )
             self._working_spaces.append(working_space)
             self._set_free(self._free_pages - granted)
-            self.reservations_granted += 1
             pending.event.succeed(working_space)
 
     # -- crash cleanup -------------------------------------------------------
@@ -284,7 +277,6 @@ class BufferManager:
             take = min(stealable, needed)
             victim.pages -= take
             self._oltp_pages += take
-            self.pages_stolen += take
             added += take
             needed -= take
             # No occupancy update: stealing moves pages between a working

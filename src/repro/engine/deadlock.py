@@ -31,7 +31,6 @@ class DeadlockDetector:
         self.detection_interval = detection_interval
         self.abort_callback = abort_callback
         self._waits_for: Dict[int, Set[int]] = {}
-        self.cycles_found = 0
         self.victims: List[int] = []
         self._running = False
 
@@ -97,7 +96,6 @@ class DeadlockDetector:
             cycle = self.find_cycle()
             if cycle is None:
                 break
-            self.cycles_found += 1
             victim = max(cycle)
             victims.append(victim)
             self.victims.append(victim)

@@ -8,41 +8,30 @@ transactions wait in an input queue when the limit is reached (paper §4).
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.sim import Environment, Resource, TimeWeightedMonitor
-from repro.workload.query import Transaction
+from repro.sim import Environment, Resource
 
 __all__ = ["TransactionManager"]
 
 
 class TransactionManager:
-    """Admission control and bookkeeping for one PE."""
+    """Admission control for one PE: one MPL slot per running transaction."""
 
     def __init__(self, env: Environment, pe_id: int, multiprogramming_level: int):
         if multiprogramming_level < 1:
             raise ValueError("multiprogramming level must be >= 1")
-        self.env = env
-        self.pe_id = pe_id
-        self.multiprogramming_level = multiprogramming_level
         self._slots = Resource(env, capacity=multiprogramming_level, name=f"mpl[{pe_id}]")
-        self._active: Dict[int, Transaction] = {}
-        self.input_queue_monitor = TimeWeightedMonitor(env, initial=0, name=f"inq[{pe_id}]")
-        self.admitted = 0
-        self.completed = 0
 
     # -- admission ------------------------------------------------------------
-    def admit(self, transaction: Transaction):
-        """Simulation step: wait for a free MPL slot, then register the txn.
+    def admit(self):
+        """Simulation step: wait for a free MPL slot.
 
         Returns the slot request which must be passed to :meth:`finish`.
         Usage::
 
-            slot = yield from txn_manager.admit(txn)
+            slot = yield from txn_manager.admit()
             ...
-            txn_manager.finish(txn, slot)
+            txn_manager.finish(slot)
         """
-        self.input_queue_monitor.add(1)
         request = self._slots.request()
         try:
             yield request
@@ -50,32 +39,20 @@ class TransactionManager:
             # Aborted (killed / deadlock-failed) while waiting for or holding
             # an unconsumed slot: give it back so the MPL slot cannot leak.
             self._slots.release(request)
-            self.input_queue_monitor.add(-1)
             raise
-        self.input_queue_monitor.add(-1)
-        self._active[transaction.txn_id] = transaction
-        self.admitted += 1
         return request
 
-    def finish(self, transaction: Transaction, slot_request) -> None:
+    def finish(self, slot_request) -> None:
         """Release the MPL slot at end of transaction."""
-        self._active.pop(transaction.txn_id, None)
-        self.completed += 1
         self._slots.release(slot_request)
 
     # -- inspection -------------------------------------------------------------
     @property
     def active_count(self) -> int:
         """Transactions currently holding an MPL slot on this PE."""
-        return len(self._active)
+        return self._slots.count
 
     @property
     def input_queue_length(self) -> int:
         """Transactions waiting for admission."""
         return self._slots.queue_length
-
-    def is_active(self, txn_id: int) -> bool:
-        return txn_id in self._active
-
-    def average_input_queue(self) -> float:
-        return self.input_queue_monitor.time_average()

@@ -1,21 +1,21 @@
-"""Distributed two-phase commit.
+"""Distributed commit of read-only join queries.
 
-Distributed two-phase commit involves all processors that participated in the
-execution of a transaction/query (paper §4).  The *read-only optimisation* is
-supported: read-only sub-transactions need only one distributed round (to
-release their read locks) instead of two.
+Distributed commit involves all processors that participated in the execution
+of a query (paper §4).  Join queries are read-only, so they use the
+*read-only optimisation* of two-phase commit: one round in which the
+coordinator tells every remote participant to release its read locks and
+collects one acknowledgement from each.  A query without a remote participant
+commits without a message.  OLTP transactions commit locally on their home PE
+(§5.3) and never come here.
 
-The protocol charges CPU for every message at sender and receiver, waits for
-the network transfer, and performs a synchronous log write at each update
-participant during the prepare phase (and at the coordinator for the final
-decision record).
+The round charges CPU for every message at sender and receiver and waits for
+the network transfer.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.config.parameters import InstructionCosts
 from repro.hardware.cpu import PRIORITY_QUERY
 from repro.hardware.network import Network
 
@@ -27,31 +27,12 @@ class CommitStatistics:
 
     def __init__(self) -> None:
         self.commits = 0
-        self.one_phase_commits = 0
-        self.two_phase_commits = 0
         self.messages = 0
-
-    def record(self, participants: int, read_only: bool) -> None:
-        self.commits += 1
-        if read_only:
-            self.one_phase_commits += 1
-            self.messages += 2 * participants
-        else:
-            self.two_phase_commits += 1
-            self.messages += 4 * participants
 
 
 def _pe_id(pe):
     """Endpoint id for topology-aware wire costs (None for bare test stubs)."""
     return getattr(pe, "pe_id", None)
-
-
-def _control_message(sender, receiver, network: Network, priority: int):
-    """One small control message from ``sender`` PE to ``receiver`` PE."""
-    send_cost, receive_cost = network.control_message_instructions()
-    yield from sender.cpu.consume(send_cost, priority=priority)
-    yield from network.transfer(256, src=_pe_id(sender), dst=_pe_id(receiver))
-    yield from receiver.cpu.consume(receive_cost, priority=priority)
 
 
 def _deliver(sender, receiver, network: Network, priority: int):
@@ -91,54 +72,21 @@ def run_commit(
     coordinator,
     participants: Sequence,
     network: Network,
-    costs: InstructionCosts,
-    read_only: bool = True,
     priority: int = PRIORITY_QUERY,
     statistics: CommitStatistics | None = None,
-    log_write=None,
 ):
-    """Simulation step executing the commit protocol.
+    """Simulation step running the read-only commit round.
 
     ``coordinator`` and ``participants`` are ProcessingElement-like objects
-    exposing ``cpu`` and ``disks``; the coordinator must not appear in the
-    participant list.  ``log_write`` optionally overrides the participant log
-    write step (used by tests).
+    exposing ``env`` and ``cpu``; a coordinator listed among the
+    participants takes no part in the round.
     """
-    env = coordinator.env
     remote = [pe for pe in participants if pe is not coordinator]
     if statistics is not None:
-        statistics.record(len(remote), read_only)
-
+        statistics.commits += 1
+        statistics.messages += 2 * len(remote)
     if not remote:
-        # Purely local transaction: just force the local log for updates.
-        if not read_only:
-            yield from coordinator.cpu.consume(costs.io_operation, priority=priority)
-            yield from coordinator.disks.write_random()
         return
-
-    if read_only:
-        # One round: release read locks at the participants, collect acks.
-        yield from _broadcast(env, coordinator, remote, network, priority)
-        yield from _gather(env, remote, coordinator, network, priority)
-        return
-
-    # Phase 1: prepare -- each participant forces a prepare log record and votes.
-    yield from _broadcast(env, coordinator, remote, network, priority)
-
-    def prepare(participant):
-        yield from participant.cpu.consume(costs.io_operation, priority=priority)
-        if log_write is not None:
-            yield from log_write(participant)
-        else:
-            yield from participant.disks.write_random()
-
-    yield env.all_of([env.process(prepare(pe)) for pe in remote])
-    yield from _gather(env, remote, coordinator, network, priority)
-
-    # Coordinator forces the commit record.
-    yield from coordinator.cpu.consume(costs.io_operation, priority=priority)
-    yield from coordinator.disks.write_random()
-
-    # Phase 2: commit decision and acknowledgements.
+    env = coordinator.env
     yield from _broadcast(env, coordinator, remote, network, priority)
     yield from _gather(env, remote, coordinator, network, priority)

@@ -38,11 +38,8 @@ class JoinExecutionResult:
 
     query: JoinQuery
     plan: JoinPlan
-    response_time: float = 0.0
     memory_wait_time: float = 0.0
     overflow_pages: int = 0
-    temp_pages_read: int = 0
-    startup_messages: int = 0
 
 
 def _scan_sites(system, relation):
@@ -60,13 +57,6 @@ def _scan_sites(system, relation):
         if sites is not None:
             return sites
     return [(pe_id, None, 1.0) for pe_id in relation.node_ids]
-
-
-def _control_message(sender, receiver, network, costs, priority) -> Generator:
-    """One small control message (subquery start / completion)."""
-    yield from sender.cpu.consume(costs.send_message, priority=priority)
-    yield from network.transfer(256, src=sender.pe_id, dst=receiver.pe_id)
-    yield from receiver.cpu.consume(costs.receive_message, priority=priority)
 
 
 def execute_join_query(
@@ -92,7 +82,6 @@ def execute_join_query(
     join_pes = [system.pes[pe_id] for pe_id in plan.processors]
 
     result = JoinExecutionResult(query=query, plan=plan)
-    start_time = env.now
 
     # -- BOT at the coordinator.
     yield from coordinator.cpu.consume(costs.initiate_transaction, priority=priority)
@@ -115,7 +104,6 @@ def execute_join_query(
     #    receive-side processing proceed in parallel at the participants.
     participants = sorted(set(inner_scan_pes) | set(outer_scan_pes) | set(plan.processors))
     remote_ids = [pe_id for pe_id in participants if pe_id != coordinator.pe_id]
-    result.startup_messages = len(remote_ids)
     yield from coordinator.cpu.consume(
         costs.send_message * len(remote_ids), priority=priority
     )
@@ -215,13 +203,7 @@ def execute_join_query(
     # -- distributed commit (read-only optimisation: single round).
     participant_pes = [system.pes[pe_id] for pe_id in participants if pe_id != coordinator.pe_id]
     yield from run_commit(
-        coordinator,
-        participant_pes,
-        network,
-        costs,
-        read_only=True,
-        priority=priority,
-        statistics=system.commit_stats,
+        coordinator, participant_pes, network, priority=priority, statistics=system.commit_stats
     )
     for pe_id in participants:
         system.pes[pe_id].locks.release_all(query.txn_id)
@@ -238,8 +220,6 @@ def execute_join_query(
         (executor.memory_wait_time for executor in executors), default=0.0
     )
 
-    result.response_time = env.now - start_time
     result.memory_wait_time = query.memory_wait_time
     result.overflow_pages = query.overflow_pages
-    result.temp_pages_read = sum(executor.temp_pages_read for executor in executors)
     return result

@@ -100,7 +100,6 @@ class PPHJExecutor:
         self.overflow_outer_pages = 0
         self.temp_pages_written = 0
         self.temp_pages_read = 0
-        self.result_bytes_sent = 0
 
     # -- memory management -------------------------------------------------------
     def _on_steal(self, pages: int) -> None:
@@ -237,7 +236,6 @@ class PPHJExecutor:
             yield from self.network.transfer(
                 result_bytes, src=pe.pe_id, dst=self.coordinator_pe
             )
-            self.result_bytes_sent = result_bytes
 
         pe.joins_processed += 1
 

@@ -349,7 +349,7 @@ def render_window_table(result: ExperimentResult, heading: str,
         for window in timeline:
             rows.setdefault((window.start, window.end), {})[label] = cell(window)
     width = max([12] + [len(label) + 2 for label in columns])
-    header = f"{'window':>16} | " + " | ".join(f"{label:>{width}}" for label in columns)
+    header = f"{'window':>15} | " + " | ".join(f"{label:>{width}}" for label in columns)
     lines = [f"{result.title} -- {heading}", header, "-" * len(header)]
     for (start, end), cells in sorted(rows.items()):
         rendered = " | ".join(f"{cells.get(label, ''):>{width}}" for label in columns)

@@ -157,7 +157,6 @@ def build_spec(
     rate_per_pe: Optional[float] = None,
     timeline_window: float = 10.0,
     max_simulated_time: Optional[float] = None,
-    measured_joins: Optional[int] = None,  # accepted for CLI symmetry; unused
 ) -> ScenarioSpec:
     """Declare the heterogeneous scenario as a spec.
 
@@ -167,7 +166,6 @@ def build_spec(
     Timeline points run for ``max_simulated_time`` simulated seconds
     (default 60 s), binning metrics every ``timeline_window`` seconds.
     """
-    del measured_joins  # timeline runs have a duration, not a join target
     duration = 60.0 if max_simulated_time is None else max_simulated_time
     placement = oltp_placement.upper()
     common = dict(

@@ -102,7 +102,6 @@ def build_spec(
     rate_per_pe: float = 0.25,
     timeline_window: float = 5.0,
     max_simulated_time: Optional[float] = None,
-    measured_joins: Optional[int] = None,  # accepted for CLI symmetry; unused
 ) -> ScenarioSpec:
     """Declare the replication & failover scenario as a spec.
 
@@ -112,7 +111,6 @@ def build_spec(
     (default 60 s -- the plan times above are tuned to that horizon),
     binning metrics every ``timeline_window`` seconds.
     """
-    del measured_joins  # timeline runs have a duration, not a join target
     duration = 60.0 if max_simulated_time is None else max_simulated_time
     sweep = Sweep(
         kind="timeline",

@@ -83,11 +83,6 @@ class LruCache:
             self._pages.popitem(last=False)
         self._pages[key] = None
 
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class _ChainBatch(BatchRun):
     """Virtualised uncontended disk/controller chain under one macro-event.

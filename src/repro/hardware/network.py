@@ -65,22 +65,11 @@ class Network:
         """Number of packets for a message of ``nbytes``."""
         return self.config.packets_for(nbytes)
 
-    def packets_for_tuples(self, tuples: int, tuple_size_bytes: int) -> int:
-        """Packets needed to ship ``tuples`` tuples of the given size."""
-        if tuples <= 0:
-            return 0
-        return self.packets_for(tuples * tuple_size_bytes)
-
     # -- CPU cost helpers -----------------------------------------------------
     def send_instructions(self, nbytes: int) -> float:
         """CPU instructions charged at the sender for one message."""
         packets = self.packets_for(nbytes)
         return packets * (self.costs.send_message + self.costs.copy_message_packet)
-
-    def receive_instructions(self, nbytes: int) -> float:
-        """CPU instructions charged at the receiver for one message."""
-        packets = self.packets_for(nbytes)
-        return packets * (self.costs.receive_message + self.costs.copy_message_packet)
 
     def control_message_instructions(self) -> tuple[float, float]:
         """(sender, receiver) CPU instructions for a small control message."""

@@ -113,18 +113,6 @@ class MetricsCollector:
             return 0.0
         return sum(pe.buffer.average_utilization() for pe in pes) / len(pes)
 
-    def max_cpu_utilization(self, pes) -> float:
-        """Highest per-PE CPU utilisation over the measurement interval."""
-        current = self.snapshot(pes)
-        baseline = self._baseline or UtilizationSnapshot(0.0, [0.0] * len(pes), [0.0] * len(pes), 1)
-        elapsed = current.time - baseline.time
-        if elapsed <= 0 or not pes:
-            return 0.0
-        per_pe = [
-            (c - b) / elapsed for c, b in zip(current.cpu_busy, baseline.cpu_busy)
-        ]
-        return min(1.0, max(per_pe))
-
     @property
     def measurement_duration(self) -> float:
         return self.env.now - self.measurement_start

@@ -100,13 +100,6 @@ class Timeline:
         values = self.series(metric)
         return max(values) if values else 0.0
 
-    def window_at(self, t: float) -> Optional[TimelineWindow]:
-        """The window covering simulated time ``t`` (None if out of range)."""
-        for window in self.windows:
-            if window.start <= t < window.end:
-                return window
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 

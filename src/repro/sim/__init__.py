@@ -2,7 +2,6 @@
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     BatchHop,
     BatchRun,
     BatchTimeout,
@@ -20,7 +19,6 @@ from repro.sim.resources import Container, PriorityResource, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BatchHop",
     "BatchRun",
     "BatchTimeout",

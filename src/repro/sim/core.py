@@ -13,7 +13,7 @@ which keeps the kernel small, fast and easy to test:
 * :class:`Event` -- one-shot events with success/failure values.
 * :class:`Timeout` -- an event triggered after a simulated delay.
 * :class:`Process` -- wraps a generator into an event (its termination).
-* :class:`AllOf` / :class:`AnyOf` -- condition events.
+* :class:`AllOf` -- a condition event over several events.
 
 Resource abstractions (servers, token pools, stores) live in
 :mod:`repro.sim.resources`.
@@ -59,7 +59,6 @@ __all__ = [
     "BatchWalk",
     "Process",
     "AllOf",
-    "AnyOf",
     "Environment",
     "PENDING",
     "PROCESSED",
@@ -202,14 +201,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (callback use)."""
-        if self._value is not PENDING:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
@@ -724,8 +715,12 @@ class Process(Event):
             event = next_event
 
 
-class _Condition(Event):
-    """Base class for AllOf / AnyOf condition events."""
+class AllOf(Event):
+    """Triggers when all component events have triggered.
+
+    Succeeds with ``{index: value}`` of the component events, or fails with
+    the first component failure.
+    """
 
     __slots__ = ("events", "_count")
 
@@ -749,22 +744,6 @@ class _Condition(Event):
             else:
                 callbacks.append(check)
 
-    def _collect(self) -> dict:
-        return {
-            index: event._value
-            for index, event in enumerate(self.events)
-            if event._value is not PENDING and event._ok
-        }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when all component events have triggered."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
@@ -773,21 +752,7 @@ class AllOf(_Condition):
             return
         self._count += 1
         if self._count == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers when any component event has triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
+            self.succeed({index: part._value for index, part in enumerate(self.events)})
 
 
 class Environment:
@@ -844,10 +809,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers once every event in ``events`` has."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers once any event in ``events`` has."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

@@ -2,9 +2,9 @@
 
 :class:`SimulationResult` is the unit of data that crosses process
 boundaries (the parallel runner ships results back from worker processes)
-and lands in the on-disk result cache, so it round-trips losslessly through
-:meth:`~SimulationResult.to_dict` / :meth:`~SimulationResult.from_dict` /
-:meth:`~SimulationResult.to_json`.  The human-facing rounded view used by
+and lands in the on-disk result cache as JSON, so it round-trips losslessly
+through :meth:`~SimulationResult.to_dict` and
+:meth:`~SimulationResult.from_dict`.  The human-facing rounded view used by
 reports and CSV export lives in :meth:`~SimulationResult.report_dict`.
 
 Replicated sweeps produce several results per (series, x) point;
@@ -16,7 +16,6 @@ replicate counts get honest intervals).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -83,14 +82,6 @@ class SimulationResult:
         result = cls(**kwargs)
         result.extras = dict(result.extras)
         return result
-
-    def to_json(self) -> str:
-        """JSON serialisation (exact float round-trip via ``repr`` grammar)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationResult":
-        return cls.from_dict(json.loads(text))
 
     def report_dict(self) -> Dict[str, object]:
         """Flat rounded dictionary representation (for reports and CSV export)."""

@@ -101,7 +101,6 @@ class ParallelSystem:
         self.faults = FaultRuntime(self, faults or ())
         self._started = False
         self.submitted = 0
-        self.rejected = 0
 
     # -- lifecycle ------------------------------------------------------------------
     def start(self) -> None:
@@ -129,7 +128,6 @@ class ParallelSystem:
         elif isinstance(transaction, OltpTransaction):
             self._oltp_router.route(transaction)
         else:
-            self.rejected += 1
             raise TypeError(f"unsupported transaction type: {type(transaction).__name__}")
         self._launch(transaction)
 
@@ -153,7 +151,7 @@ class ParallelSystem:
 
     def _run_join(self, query: JoinQuery):
         coordinator = self.pes[query.coordinator_pe]
-        slot = yield from coordinator.transactions.admit(query)
+        slot = yield from coordinator.transactions.admit()
         try:
             plan = self.strategy.plan_join(query, self.scheduling_context())
             self.faults.note_plan(query, plan.processors)
@@ -165,18 +163,18 @@ class ParallelSystem:
                 memory_wait=result.memory_wait_time,
             )
         finally:
-            coordinator.transactions.finish(query, slot)
+            coordinator.transactions.finish(slot)
 
     def _run_oltp(self, transaction: OltpTransaction):
         home = self.pes[transaction.home_pe]
-        slot = yield from home.transactions.admit(transaction)
+        slot = yield from home.transactions.admit()
         try:
             yield from execute_oltp_transaction(
                 self, transaction, profile=self._oltp_profile, rng=self._oltp_rng
             )
             self.metrics.record_oltp(self.env.now - transaction.arrival_time)
         finally:
-            home.transactions.finish(transaction, slot)
+            home.transactions.finish(slot)
 
     # -- convenience ---------------------------------------------------------------------------
     def average_cpu_utilization(self) -> float:

@@ -1,4 +1,4 @@
-"""Workload model: query classes, arrival generation, routing, OLTP, traces."""
+"""Workload model: transactions, arrival generation, routing, OLTP, traces."""
 
 from repro import _lazy_exports
 
@@ -17,15 +17,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "make_arrival_process",
     ),
     "repro.workload.generator": ("WorkloadClass", "WorkloadGenerator", "WorkloadSpec"),
-    "repro.workload.query": (
-        "JoinQuery",
-        "OltpTransaction",
-        "QueryClass",
-        "ScanQuery",
-        "Transaction",
-        "UpdateStatement",
-    ),
-    "repro.workload.router": ("AffinityRouter", "RandomRouter", "RoundRobinRouter", "Router"),
+    "repro.workload.query": ("JoinQuery", "OltpTransaction", "Transaction"),
+    "repro.workload.router": ("AffinityRouter", "RandomRouter", "Router"),
     "repro.workload.tpcb": ("OltpCostProfile", "build_cost_profile"),
     "repro.workload.traces": ("Trace", "TraceRecord", "TraceReplayer", "generate_trace"),
 })

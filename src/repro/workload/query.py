@@ -1,38 +1,18 @@
-"""Workload units: queries and transactions.
+"""Workload units: join queries and OLTP transactions.
 
-The simulation system supports heterogeneous (multi-class) workloads
-consisting of several query and transaction types (paper §4).  A *query* is a
-transaction with a single database operation.  The classes below are plain
-descriptions -- the execution layer (:mod:`repro.execution`) interprets them.
+The paper's evaluation runs two transaction types (§5): read-only two-way
+join queries and debit-credit OLTP transactions.  The classes below are
+plain descriptions -- the execution layer (:mod:`repro.execution`)
+interprets them, and :meth:`ParallelSystem.submit` rejects any other type.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
-__all__ = [
-    "QueryClass",
-    "Transaction",
-    "JoinQuery",
-    "ScanQuery",
-    "UpdateStatement",
-    "OltpTransaction",
-]
-
-
-class QueryClass(str, Enum):
-    """Supported query/transaction types (paper §4, workload model)."""
-
-    RELATION_SCAN = "relation-scan"
-    CLUSTERED_INDEX_SCAN = "clustered-index-scan"
-    UNCLUSTERED_INDEX_SCAN = "unclustered-index-scan"
-    TWO_WAY_JOIN = "two-way-join"
-    MULTI_WAY_JOIN = "multi-way-join"
-    UPDATE = "update"
-    OLTP = "oltp"
+__all__ = ["Transaction", "JoinQuery", "OltpTransaction"]
 
 
 _transaction_ids = itertools.count(1)
@@ -49,7 +29,6 @@ class Transaction:
     arrival_time: float = 0.0
     coordinator_pe: Optional[int] = None
     txn_id: int = field(default_factory=lambda: next(_transaction_ids))
-    query_class: QueryClass = QueryClass.OLTP
 
     # Filled in at completion time by the execution layer.
     completion_time: Optional[float] = None
@@ -60,21 +39,6 @@ class Transaction:
         if self.completion_time is None:
             return None
         return self.completion_time - self.arrival_time
-
-    @property
-    def read_only(self) -> bool:
-        """Read-only transactions can use the one-phase commit optimisation."""
-        return True
-
-
-@dataclass
-class ScanQuery(Transaction):
-    """A single-relation scan/selection query."""
-
-    relation: str = "A"
-    selectivity: float = 0.01
-    use_index: bool = True
-    query_class: QueryClass = QueryClass.CLUSTERED_INDEX_SCAN
 
 
 @dataclass
@@ -92,7 +56,6 @@ class JoinQuery(Transaction):
     scan_selectivity: float = 0.01
     result_fraction_of_inner: float = 1.0
     fudge_factor: float = 1.05
-    query_class: QueryClass = QueryClass.TWO_WAY_JOIN
 
     # Decision recorded by the load balancing strategy, for analysis.
     chosen_degree: Optional[int] = None
@@ -102,27 +65,8 @@ class JoinQuery(Transaction):
 
 
 @dataclass
-class UpdateStatement(Transaction):
-    """An update statement touching a set of tuples (with or without index)."""
-
-    relation: str = "A"
-    selectivity: float = 0.001
-    use_index: bool = True
-    query_class: QueryClass = QueryClass.UPDATE
-
-    @property
-    def read_only(self) -> bool:
-        return False
-
-
-@dataclass
 class OltpTransaction(Transaction):
     """A debit-credit style OLTP transaction (four selects + updates)."""
 
     home_pe: Optional[int] = None
     tuple_accesses: int = 4
-    query_class: QueryClass = QueryClass.OLTP
-
-    @property
-    def read_only(self) -> bool:
-        return False

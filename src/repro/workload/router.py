@@ -13,7 +13,7 @@ from typing import Protocol, Sequence
 
 from repro.workload.query import OltpTransaction, Transaction
 
-__all__ = ["Router", "RandomRouter", "RoundRobinRouter", "AffinityRouter"]
+__all__ = ["Router", "RandomRouter", "AffinityRouter"]
 
 
 class Router(Protocol):
@@ -34,22 +34,6 @@ class RandomRouter:
 
     def route(self, transaction: Transaction) -> int:
         pe = self._rng.choice(self._pe_ids)
-        transaction.coordinator_pe = pe
-        return pe
-
-
-class RoundRobinRouter:
-    """Deterministic round-robin placement (useful for tests)."""
-
-    def __init__(self, pe_ids: Sequence[int]):
-        if not pe_ids:
-            raise ValueError("RoundRobinRouter needs at least one PE")
-        self._pe_ids = list(pe_ids)
-        self._next = 0
-
-    def route(self, transaction: Transaction) -> int:
-        pe = self._pe_ids[self._next % len(self._pe_ids)]
-        self._next += 1
         transaction.coordinator_pe = pe
         return pe
 

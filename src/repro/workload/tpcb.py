@@ -26,12 +26,6 @@ class OltpCostProfile:
     page_reads: int  # logical page reads (index + data)
     buffer_hit_ratio: float  # fraction served without disk I/O
     log_writes: int  # synchronous log I/Os at commit
-    data_page_writes: int  # deferred dirty-page writes (asynchronous)
-
-    @property
-    def expected_disk_reads(self) -> float:
-        """Expected number of physical read I/Os per transaction."""
-        return self.page_reads * (1.0 - self.buffer_hit_ratio)
 
 
 def build_cost_profile(config: OltpConfig, costs: InstructionCosts) -> OltpCostProfile:
@@ -64,5 +58,4 @@ def build_cost_profile(config: OltpConfig, costs: InstructionCosts) -> OltpCostP
         page_reads=page_reads,
         buffer_hit_ratio=config.buffer_hit_ratio,
         log_writes=config.log_io_per_commit,
-        data_page_writes=selects,
     )

@@ -63,12 +63,6 @@ class Trace:
     def duration(self) -> float:
         return self.records[-1].arrival_time if self.records else 0.0
 
-    def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.class_name] = counts.get(record.class_name, 0) + 1
-        return counts
-
 
 def generate_trace(spec: WorkloadSpec, duration: float, seed: int | None = None) -> Trace:
     """Sample a trace of ``duration`` simulated seconds from a workload spec.

@@ -183,19 +183,6 @@ def test_all_of_waits_for_every_event():
     assert log == [5]
 
 
-def test_any_of_returns_on_first_event():
-    env = Environment()
-    log = []
-
-    def proc():
-        yield env.any_of([env.timeout(2), env.timeout(5)])
-        log.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert log == [2]
-
-
 def test_all_of_empty_triggers_immediately():
     env = Environment()
     log = []

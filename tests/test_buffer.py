@@ -144,7 +144,7 @@ def test_oltp_footprint_steals_from_working_space():
     assert added == 12
     assert stolen_log == [7]
     assert spaces[0].pages == 38
-    assert buf.pages_stolen == 7
+    assert buf.oltp_pages == 12  # 5 free + 7 stolen
 
 
 def test_oltp_footprint_respects_working_space_minimum():
@@ -178,7 +178,7 @@ def test_join_can_evict_unprotected_oltp_pages():
     env.run()
     assert grants == [(0, 10)]
     assert buf.oltp_pages == 20
-    assert buf.oltp_pages_evicted == 10
+    assert buf.working_space_pages == 10  # the 10 evicted pages
 
 
 def test_protected_oltp_pages_block_memory_queue_until_release():
@@ -215,7 +215,7 @@ def test_oltp_refill_after_eviction_uses_free_pages_only():
     # The join gets the 6 free pages plus the 22 unprotected OLTP pages.
     assert spaces[0].pages == 28
     assert buf.oltp_pages == 22
-    assert buf.oltp_pages_evicted == 22
+    assert buf.free_pages == 0  # the 22 evicted pages went to the join
     # OLTP still holds its protected working set, so refilling the footprint
     # does not steal anything back from the join.
     buf.ensure_oltp_footprint(44)

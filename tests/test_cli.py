@@ -194,6 +194,23 @@ def test_parser_rejects_bad_override():
               "--set", "buffer.buffer_pages", "--no-cache"])
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "dynamic", "--joins", "5"], "--joins"),
+    (["experiment", "figure8", "--sizes", "20"], "--sizes"),
+    (["experiment", "figure1", "--time-limit", "5"], "--time-limit"),
+    (["dispatch", "faults", "--joins", "5", "--url", "http://127.0.0.1:9"], "--joins"),
+])
+def test_option_the_scenario_does_not_take_is_rejected(argv, flag):
+    scenario = argv[1]
+    with pytest.raises(SystemExit, match=f"scenario '{scenario}' does not take {flag}"):
+        main(argv)
+
+
+def test_set_on_a_field_the_config_lacks_is_rejected():
+    with pytest.raises(SystemExit, match="config has no field 'access_method'"):
+        main(["sweep", "--sizes", "4", "--set", "join_query.access_method=scan"])
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -5,6 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.config import OltpConfig, RelationConfig, SystemConfig
 from repro.database import BTreeIndex, Catalog, Fragment, decluster, split_evenly
+from repro.execution.operators import plan_scan
+from repro.scheduling.cost_model import CostModel
+from repro.workload import JoinQuery
 
 
 # -- split_evenly -----------------------------------------------------------
@@ -49,8 +52,8 @@ def test_decluster_uniform_distribution():
     config = RelationConfig(name="A", num_tuples=250_000, declustering_fraction=0.2)
     relation = decluster(config, pe_ids=list(range(8)), disks_per_pe=10)
     assert len(relation.fragments) == 8
-    assert relation.total_fragment_tuples() == 250_000
     sizes = [frag.num_tuples for frag in relation.fragments.values()]
+    assert sum(sizes) == 250_000
     assert max(sizes) - min(sizes) <= 1
     assert all(len(frag.disk_ids) == 10 for frag in relation.fragments.values())
 
@@ -81,12 +84,10 @@ def test_relation_rejects_foreign_fragment():
 
 def test_relation_matching_pages_paper_values():
     """The inner relation at 1 % selectivity occupies 125 pages (paper §3.1)."""
-    config = RelationConfig(name="A", num_tuples=250_000, blocking_factor=20)
-    relation = decluster(config, pe_ids=list(range(4)))
-    assert relation.matching_tuples(0.01) == 2_500
-    assert relation.matching_pages(0.01) == 125
-    assert relation.matching_pages(0.001) == 13
-    assert relation.matching_pages(0.05) == 625
+    cost_model = CostModel(SystemConfig())
+    for selectivity, tuples, pages in ((0.01, 2_500, 125), (0.001, 250, 13), (0.05, 12_500, 625)):
+        profile = cost_model.profile(JoinQuery(scan_selectivity=selectivity))
+        assert (profile.inner_tuples, profile.inner_pages) == (tuples, pages)
 
 
 # -- B+-tree index -------------------------------------------------------------
@@ -107,19 +108,15 @@ def test_btree_height_known_values():
 
 
 def test_btree_range_scan_pages():
-    index = BTreeIndex(relation_name="A", clustered=True, num_entries=250_000)
-    assert index.index_pages_for_range(0.0) == index.height
-    assert index.index_pages_for_range(0.01) >= index.height
+    # A clustered-index range scan descends the tree once per fragment.
+    config = SystemConfig(num_pe=10)
+    relation = Catalog.from_config(config).relation("A")
+    pe_id = relation.node_ids[0]
+    for selectivity in (0.0, 0.01):
+        work = plan_scan(relation, pe_id, selectivity, tuple_size_bytes=400)
+        assert work.index_pages == relation.index.height
     with pytest.raises(ValueError):
-        index.index_pages_for_range(2.0)
-
-
-def test_btree_unclustered_data_accesses():
-    clustered = BTreeIndex(relation_name="A", clustered=True, num_entries=10_000)
-    unclustered = BTreeIndex(relation_name="A", clustered=False, num_entries=10_000)
-    assert clustered.data_page_accesses_for_tuples(100, data_pages=50) == 50
-    assert unclustered.data_page_accesses_for_tuples(100, data_pages=50) == 100
-    assert clustered.data_page_accesses_for_tuples(0, data_pages=50) == 0
+        plan_scan(relation, pe_id, 2.0, tuple_size_bytes=400)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -128,17 +125,19 @@ def test_catalog_from_config_contains_a_and_b():
     catalog = Catalog.from_config(config)
     assert "A" in catalog
     assert "B" in catalog
-    assert set(catalog.nodes_of("A")) == set(config.a_node_ids)
-    assert set(catalog.nodes_of("B")) == set(config.b_node_ids)
+    a_nodes = catalog.relation("A").node_ids
+    b_nodes = catalog.relation("B").node_ids
+    assert set(a_nodes) == set(config.a_node_ids)
+    assert set(b_nodes) == set(config.b_node_ids)
     # Disjoint allocation (paper §5.1).
-    assert set(catalog.nodes_of("A")).isdisjoint(catalog.nodes_of("B"))
+    assert set(a_nodes).isdisjoint(b_nodes)
 
 
 def test_catalog_with_oltp_adds_account_relation():
     config = SystemConfig(num_pe=40, oltp=OltpConfig(placement="B"))
     catalog = Catalog.from_config(config)
     assert "ACCT" in catalog
-    assert set(catalog.nodes_of("ACCT")) == set(config.b_node_ids)
+    assert set(catalog.relation("ACCT").node_ids) == set(config.b_node_ids)
 
 
 def test_catalog_unknown_relation_message():
@@ -151,7 +150,9 @@ def test_catalog_fragments_on_node():
     config = SystemConfig(num_pe=10)
     catalog = Catalog.from_config(config)
     a_node = config.a_node_ids[0]
-    fragments = catalog.fragments_on(a_node)
+    fragments = [
+        relation.fragment_on(a_node) for relation in catalog if relation.has_fragment_on(a_node)
+    ]
     assert any(frag.relation_name == "A" for frag in fragments)
     assert not any(frag.relation_name == "B" for frag in fragments)
 
@@ -167,5 +168,6 @@ def test_catalog_add_duplicate_rejected():
 def test_catalog_total_tuples_preserved(num_pe):
     config = SystemConfig(num_pe=num_pe)
     catalog = Catalog.from_config(config)
-    assert catalog.relation("A").total_fragment_tuples() == 250_000
-    assert catalog.relation("B").total_fragment_tuples() == 1_000_000
+    for name, tuples in (("A", 250_000), ("B", 1_000_000)):
+        fragments = catalog.relation(name).fragments.values()
+        assert sum(frag.num_tuples for frag in fragments) == tuples

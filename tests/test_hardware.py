@@ -139,7 +139,7 @@ def test_lru_cache_hit_and_miss():
     assert cache.access("p2") is False
     assert cache.access("p3") is False  # evicts p1
     assert cache.access("p1") is False
-    assert cache.hit_ratio == pytest.approx(1 / 5)
+    assert (cache.hits, cache.misses) == (1, 4)
 
 
 def test_lru_cache_zero_capacity_never_hits():
@@ -265,8 +265,7 @@ def test_network_packet_counts():
     assert net.packets_for(100) == 1
     assert net.packets_for(8_192) == 1
     assert net.packets_for(8_193) == 2
-    assert net.packets_for_tuples(0, 400) == 0
-    assert net.packets_for_tuples(21, 400) == 2  # 8 400 bytes -> 2 packets
+    assert net.packets_for(21 * 400) == 2  # 21 tuples of 400 B -> 2 packets
 
 
 def test_network_cpu_costs_scale_with_packets():
@@ -277,7 +276,6 @@ def test_network_cpu_costs_scale_with_packets():
     two_packets = net.send_instructions(10_000)
     assert one_packet == costs.send_message + costs.copy_message_packet
     assert two_packets == 2 * one_packet
-    assert net.receive_instructions(1_000) == costs.receive_message + costs.copy_message_packet
 
 
 def test_network_transfer_advances_time_and_counts():

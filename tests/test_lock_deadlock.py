@@ -155,7 +155,7 @@ def test_detect_and_resolve_picks_youngest_victim():
     victims = detector.detect_and_resolve()
     assert victims == [20]
     assert aborted == [20]
-    assert detector.cycles_found == 1
+    assert detector.edge_count == 0
     assert detector.find_cycle() is None
 
 
@@ -215,4 +215,4 @@ def test_periodic_detection_runs_without_cycles():
     detector.start()
     detector.start()  # idempotent
     env.run(until=3)
-    assert detector.cycles_found == 0
+    assert detector.victims == []

@@ -55,7 +55,10 @@ def test_cpu_utilization_measured_after_baseline():
     env.run(until=0.2)
     # One of two PEs busy for half the interval -> 25 % average.
     assert metrics.average_cpu_utilization(pes) == pytest.approx(0.25, rel=0.05)
-    assert metrics.max_cpu_utilization(pes) == pytest.approx(0.5, rel=0.05)
+    # ... that is PE 0 busy for 100 ms of the 200 ms and PE 1 idle.
+    busy = metrics.snapshot(pes).cpu_busy
+    assert busy[0] == pytest.approx(0.1, rel=0.05)
+    assert busy[1] == 0.0
     assert metrics.measurement_duration == pytest.approx(0.2)
 
 
@@ -82,7 +85,6 @@ def test_empty_collector_is_safe():
     assert metrics.average_cpu_utilization([]) == 0.0
     assert metrics.average_disk_utilization([]) == 0.0
     assert metrics.average_memory_utilization([]) == 0.0
-    assert metrics.max_cpu_utilization([]) == 0.0
 
 
 def test_simulation_result_units():

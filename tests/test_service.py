@@ -197,6 +197,16 @@ def test_submit_sweep_rejects_garbage_over_http(coordinator):
     assert code == 400
 
 
+def test_submit_sweep_rejects_option_the_scenario_does_not_take(coordinator):
+    # Timeline scenarios run for a duration; a join target is refused, not ignored.
+    code, message = refused(
+        coordinator, "/sweeps", {"scenario": "dynamic", "kwargs": {"measured_joins": 5}}
+    )
+    assert code == 400
+    assert "measured_joins" in message
+    assert coordinator.backend.task_ids() == []
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("kind", "nope"), ("scenario", "nope"), ("num_pe", "4"), ("seed", 4.5),

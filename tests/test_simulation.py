@@ -1,5 +1,7 @@
 """Integration tests: the full system executing joins and OLTP transactions."""
 
+import json
+
 import pytest
 
 from repro import (
@@ -35,11 +37,11 @@ def test_system_accepts_strategy_instance():
 
 
 def test_system_rejects_unknown_transaction_type():
-    from repro.workload import ScanQuery
+    from repro.workload import Transaction
 
     system = ParallelSystem(small_config())
-    with pytest.raises(TypeError):
-        system.submit(ScanQuery())
+    with pytest.raises(TypeError, match="unsupported transaction type: Transaction"):
+        system.submit(Transaction())
 
 
 def test_single_join_query_completes():
@@ -55,8 +57,8 @@ def test_single_join_query_completes():
     assert system.metrics.joins_completed == 1
     # All buffers are returned after the query finishes.
     assert all(pe.buffer.working_space_pages == 0 for pe in system.pes)
-    # Read-only commit was used.
-    assert system.commit_stats.one_phase_commits == 1
+    # One read-only commit round.
+    assert system.commit_stats.commits == 1
 
 
 def test_single_oltp_transaction_completes():
@@ -156,7 +158,7 @@ def test_result_serialisation_round_trip():
     line = result.row()
     assert "pmu_cpu+LUM" in line
     # Lossless JSON round-trip (what the parallel runner and cache rely on).
-    restored = SimulationResult.from_json(result.to_json())
+    restored = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert restored == result
 
 

@@ -1,4 +1,4 @@
-"""Tests for the transaction manager (MPL control) and two-phase commit."""
+"""Tests for the transaction manager (MPL control) and the read-only commit."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.config import SystemConfig
 from repro.engine import CommitStatistics, ProcessingElement, TransactionManager, run_commit
 from repro.hardware import Network
 from repro.sim import Environment
-from repro.workload import JoinQuery, OltpTransaction
 
 
 # -- transaction manager -----------------------------------------------------------
@@ -16,19 +15,16 @@ def test_mpl_limits_concurrency():
     starts = []
 
     def txn(name, duration):
-        transaction = OltpTransaction()
-        slot = yield from manager.admit(transaction)
+        slot = yield from manager.admit()
         starts.append((name, env.now))
         yield env.timeout(duration)
-        manager.finish(transaction, slot)
+        manager.finish(slot)
 
     for index in range(4):
         env.process(txn(f"t{index}", 10))
     env.run()
     start_times = [t for _, t in starts]
     assert start_times == [0, 0, 10, 10]
-    assert manager.admitted == 4
-    assert manager.completed == 4
     assert manager.active_count == 0
 
 
@@ -37,10 +33,9 @@ def test_input_queue_length_visible_while_saturated():
     manager = TransactionManager(env, pe_id=0, multiprogramming_level=1)
 
     def txn(duration):
-        transaction = OltpTransaction()
-        slot = yield from manager.admit(transaction)
+        slot = yield from manager.admit()
         yield env.timeout(duration)
-        manager.finish(transaction, slot)
+        manager.finish(slot)
 
     for _ in range(3):
         env.process(txn(5))
@@ -48,7 +43,7 @@ def test_input_queue_length_visible_while_saturated():
     assert manager.active_count == 1
     assert manager.input_queue_length == 2
     env.run()
-    assert manager.average_input_queue() > 0
+    assert manager.input_queue_length == 0
 
 
 def test_invalid_mpl_rejected():
@@ -58,20 +53,20 @@ def test_invalid_mpl_rejected():
 
 
 def test_is_active_tracks_registration():
+    # A transaction is active (holds an MPL slot) from admit to finish.
     env = Environment()
     manager = TransactionManager(env, pe_id=0, multiprogramming_level=4)
-    txn = JoinQuery()
     events = []
 
     def proc():
-        slot = yield from manager.admit(txn)
-        events.append(manager.is_active(txn.txn_id))
-        manager.finish(txn, slot)
-        events.append(manager.is_active(txn.txn_id))
+        slot = yield from manager.admit()
+        events.append(manager.active_count)
+        manager.finish(slot)
+        events.append(manager.active_count)
 
     env.process(proc())
     env.run()
-    assert events == [True, False]
+    assert events == [1, 0]
 
 
 # -- two-phase commit ----------------------------------------------------------------
@@ -89,56 +84,16 @@ def test_read_only_commit_uses_single_round():
     finished = []
 
     def proc():
-        yield from run_commit(
-            pes[0], pes[1:], network, config.costs, read_only=True, statistics=stats
-        )
+        yield from run_commit(pes[0], pes[1:], network, statistics=stats)
         finished.append(env.now)
 
     env.process(proc())
     env.run()
-    assert stats.one_phase_commits == 1
-    assert stats.two_phase_commits == 0
+    assert stats.commits == 1
     assert stats.messages == 4  # 2 participants x 2 messages
     assert finished[0] > 0
     # No log writes for read-only commits.
     assert all(pe.disks.pages_written == 0 for pe in pes)
-
-
-def test_update_commit_writes_logs_and_uses_two_phases():
-    env, config, pes, network = build_pes(3)
-    stats = CommitStatistics()
-
-    def proc():
-        yield from run_commit(
-            pes[0], pes[1:], network, config.costs, read_only=False, statistics=stats
-        )
-
-    env.process(proc())
-    env.run()
-    assert stats.two_phase_commits == 1
-    assert stats.messages == 8
-    # Each participant forces a prepare record; the coordinator forces commit.
-    assert pes[1].disks.pages_written == 1
-    assert pes[2].disks.pages_written == 1
-    assert pes[0].disks.pages_written == 1
-
-
-def test_update_commit_takes_longer_than_read_only():
-    env1, config1, pes1, network1 = build_pes(3)
-    env2, config2, pes2, network2 = build_pes(3)
-    times = {}
-
-    def run(env, pes, network, config, read_only, key):
-        def proc():
-            yield from run_commit(pes[0], pes[1:], network, config.costs, read_only=read_only)
-            times[key] = env.now
-
-        env.process(proc())
-        env.run()
-
-    run(env1, pes1, network1, config1, True, "ro")
-    run(env2, pes2, network2, config2, False, "rw")
-    assert times["rw"] > times["ro"]
 
 
 def test_local_readonly_commit_is_free_of_messages():
@@ -146,23 +101,18 @@ def test_local_readonly_commit_is_free_of_messages():
     stats = CommitStatistics()
 
     def proc():
-        yield from run_commit(pes[0], [pes[0]], network, config.costs, read_only=True, statistics=stats)
+        yield from run_commit(pes[0], [pes[0]], network, statistics=stats)
+        finished.append(env.now)
 
+    finished = []
     env.process(proc())
     env.run()
     assert network.messages_sent == 0
+    assert stats.commits == 1
     assert stats.messages == 0
-
-
-def test_local_update_commit_forces_log():
-    env, config, pes, network = build_pes(1)
-
-    def proc():
-        yield from run_commit(pes[0], [], network, config.costs, read_only=False)
-
-    env.process(proc())
-    env.run()
-    assert pes[0].disks.pages_written == 1
+    # No remote participant: the commit returns at once and uses no CPU.
+    assert finished == [0.0]
+    assert pes[0].cpu.resource.busy_time() == 0.0
 
 
 # -- processing element composition -----------------------------------------------------

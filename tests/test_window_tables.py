@@ -110,6 +110,19 @@ def test_window_tables_match_pinned_text():
     assert render_all() == EXPECTED.read_text()
 
 
+def test_header_separators_line_up_with_row_separators():
+    experiment = _experiment((8, 16))
+    for result in (experiment, experiment.aggregate()):
+        for _, render in RENDERERS:
+            header, rule, *rows = render(result).splitlines()[1:]
+            columns = [i for i, char in enumerate(header) if char == "|"]
+            assert len(rule) == len(header)
+            for row in rows:
+                if not row.startswith("["):
+                    break  # the anomaly block follows the table
+                assert [i for i, char in enumerate(row) if char == "|"] == columns
+
+
 if __name__ == "__main__":
     EXPECTED.write_text(render_all())
     print(f"wrote {EXPECTED}")

@@ -9,13 +9,9 @@ from repro.workload import (
     AffinityRouter,
     JoinQuery,
     OltpTransaction,
-    QueryClass,
     RandomRouter,
-    RoundRobinRouter,
-    ScanQuery,
     Trace,
     TraceReplayer,
-    UpdateStatement,
     WorkloadClass,
     WorkloadGenerator,
     WorkloadSpec,
@@ -38,18 +34,6 @@ def test_response_time_requires_completion():
     assert query.response_time == pytest.approx(2.5)
 
 
-def test_read_only_flags():
-    assert JoinQuery().read_only is True
-    assert ScanQuery().read_only is True
-    assert UpdateStatement().read_only is False
-    assert OltpTransaction().read_only is False
-
-
-def test_query_class_values():
-    assert JoinQuery().query_class is QueryClass.TWO_WAY_JOIN
-    assert OltpTransaction().query_class is QueryClass.OLTP
-
-
 # -- routers ----------------------------------------------------------------------
 def test_random_router_covers_candidates():
     router = RandomRouter(pe_ids=[1, 2, 3], seed=1)
@@ -66,11 +50,6 @@ def test_random_router_is_deterministic_per_seed():
 def test_random_router_requires_pes():
     with pytest.raises(ValueError):
         RandomRouter([])
-
-
-def test_round_robin_router_cycles():
-    router = RoundRobinRouter([5, 6])
-    assert [router.route(JoinQuery()) for _ in range(4)] == [5, 6, 5, 6]
 
 
 def test_affinity_router_keeps_oltp_local():
@@ -155,7 +134,7 @@ def test_oltp_cost_profile_structure():
     profile = build_cost_profile(OltpConfig(), InstructionCosts())
     assert profile.page_reads == 4 * 3
     assert profile.cpu_instructions > 50_000
-    assert 0 < profile.expected_disk_reads < profile.page_reads
+    assert 0 < profile.buffer_hit_ratio < 1  # some page reads go to disk
     assert profile.log_writes == 1
 
 
@@ -174,7 +153,7 @@ def test_generate_trace_is_sorted_and_bounded():
     assert times == sorted(times)
     assert all(0 < t <= 10.0 for t in times)
     assert trace.duration <= 10.0
-    assert trace.class_counts().get("join", 0) == len(trace)
+    assert {record.class_name for record in trace} == {"join"}
 
 
 def test_generate_trace_deterministic_for_seed():
@@ -238,18 +217,10 @@ def test_affinity_router_requires_oltp_pes():
         AffinityRouter(oltp_pe_ids=[], all_pe_ids=[0, 1])
 
 
-def test_round_robin_router_requires_pes():
-    with pytest.raises(ValueError):
-        RoundRobinRouter([])
-
-
 def test_routers_stamp_coordinator_pe():
     query = JoinQuery()
     RandomRouter([3], seed=0).route(query)
     assert query.coordinator_pe == 3
-    query2 = JoinQuery()
-    RoundRobinRouter([7]).route(query2)
-    assert query2.coordinator_pe == 7
     txn = OltpTransaction(home_pe=1)
     AffinityRouter(oltp_pe_ids=[0, 1], all_pe_ids=[0, 1, 2]).route(txn)
     assert txn.coordinator_pe == 1

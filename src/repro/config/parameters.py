@@ -161,7 +161,6 @@ class RelationConfig:
     num_tuples: int
     tuple_size_bytes: int = 400
     blocking_factor: int = 20  # tuples per page
-    index_type: str = "clustered-btree"
     declustering_fraction: float = 1.0  # fraction of all PEs holding fragments
 
     @property

@@ -51,11 +51,7 @@ def decluster(
         raise ValueError(f"relation {config.name} needs at least one PE")
     relation = Relation(
         config=config,
-        index=BTreeIndex(
-            relation_name=config.name,
-            clustered=config.index_type.startswith("clustered"),
-            num_entries=config.num_tuples,
-        ),
+        index=BTreeIndex(relation_name=config.name, num_entries=config.num_tuples),
     )
     shares = split_evenly(config.num_tuples, len(pe_ids))
     disk_ids = tuple(range(max(1, disks_per_pe)))
@@ -182,7 +178,6 @@ def allocate_paper_database(config: SystemConfig) -> dict[str, Relation]:
             num_tuples=100_000 * len(oltp_nodes),
             tuple_size_bytes=100,
             blocking_factor=80,
-            index_type="unclustered-btree",
             declustering_fraction=len(oltp_nodes) / config.num_pe,
         )
         relations["ACCT"] = decluster(account, oltp_nodes, config.disk.disks_per_pe)

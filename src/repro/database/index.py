@@ -17,14 +17,13 @@ __all__ = ["BTreeIndex"]
 class BTreeIndex:
     """A B+-tree index over one attribute of a relation.
 
-    ``clustered`` indices store tuples in index order, so a range predicate of
-    selectivity ``s`` touches ``ceil(s * data_pages)`` consecutive data pages.
-    Unclustered indices require one data page access per matching tuple in the
-    worst case (the model used by the paper's OLTP selects).
+    The index is clustered: tuples are stored in index order, so a range
+    predicate of selectivity ``s`` touches ``ceil(s * data_pages)``
+    consecutive data pages.  The OLTP selects' non-clustered accesses are
+    costed by :mod:`repro.workload.tpcb` instead.
     """
 
     relation_name: str
-    clustered: bool = True
     entries_per_page: int = 200  # key/RID pairs per index page
     num_entries: int = 0  # == tuples of the indexed relation
 

@@ -5,7 +5,7 @@ from repro.engine.deadlock import DeadlockDetector
 from repro.engine.lock import DeadlockAbort, LockManager, LockMode
 from repro.engine.pe import ProcessingElement
 from repro.engine.transaction import TransactionManager
-from repro.engine.twopc import CommitStatistics, run_commit
+from repro.engine.twopc import run_commit
 
 __all__ = [
     "BufferManager",
@@ -16,6 +16,5 @@ __all__ = [
     "LockMode",
     "ProcessingElement",
     "TransactionManager",
-    "CommitStatistics",
     "run_commit",
 ]

@@ -13,7 +13,8 @@ strategies, so this module implements:
   *memory queue* (§4, hash join processing);
 * an OLTP footprint with priority: pages demanded by OLTP transactions are
   taken from the free pool first and *stolen* from the largest join
-  reservation if necessary, triggering the PPHJ adaptation callback;
+  reservation if necessary; the hash join adapts to the smaller
+  ``WorkingSpace.pages`` it reads next;
 * utilisation accounting for the control node (the LUM policy and the
   integrated strategies need per-node "available memory").
 """
@@ -22,15 +23,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from repro.sim import Environment, Event, TimeWeightedMonitor
 
 __all__ = ["WorkingSpace", "BufferManager"]
-
-#: Callback invoked when pages are stolen from a working space:
-#: ``callback(stolen_pages)``.
-StealCallback = Callable[[int], None]
 
 
 @dataclass
@@ -40,7 +37,6 @@ class WorkingSpace:
     owner: str
     pages: int
     min_pages: int
-    steal_callback: Optional[StealCallback] = None
     released: bool = False
 
     def __post_init__(self) -> None:
@@ -54,7 +50,6 @@ class _PendingReservation:
     owner: str
     desired_pages: int
     min_pages: int
-    steal_callback: Optional[StealCallback]
 
 
 class BufferManager:
@@ -118,13 +113,7 @@ class BufferManager:
         self.occupancy.update(self.total_pages - free)
 
     # -- working spaces (joins) ------------------------------------------------
-    def reserve(
-        self,
-        owner: str,
-        desired_pages: int,
-        min_pages: int,
-        steal_callback: Optional[StealCallback] = None,
-    ) -> Event:
+    def reserve(self, owner: str, desired_pages: int, min_pages: int) -> Event:
         """Request a working space.
 
         The returned event triggers with a :class:`WorkingSpace` once at least
@@ -146,7 +135,6 @@ class BufferManager:
                 owner=owner,
                 desired_pages=desired_pages,
                 min_pages=min_pages,
-                steal_callback=steal_callback,
             )
         )
         self._serve_queue()
@@ -211,10 +199,7 @@ class BufferManager:
                 self._evict_oltp_pages(target - self._free_pages)
             granted = max(pending.min_pages, min(pending.desired_pages, self._free_pages))
             working_space = WorkingSpace(
-                owner=pending.owner,
-                pages=granted,
-                min_pages=pending.min_pages,
-                steal_callback=pending.steal_callback,
+                owner=pending.owner, pages=granted, min_pages=pending.min_pages
             )
             self._working_spaces.append(working_space)
             self._set_free(self._free_pages - granted)
@@ -245,9 +230,9 @@ class BufferManager:
 
         Pages come from the free pool first; if that is not enough, they are
         *stolen* from join working spaces (largest first, never below the
-        space's minimum), invoking the owner's steal callback so the hash
-        join can write partitions to disk (PPHJ adaptation).  Returns the
-        number of pages added to the footprint.
+        space's minimum); the hash join then keeps fewer partitions resident
+        and writes the rest to disk (PPHJ adaptation).  Returns the number
+        of pages added to the footprint.
         """
         target = min(target_pages, self.total_pages)
         # Half of the target is treated as the hot working set that join
@@ -282,8 +267,6 @@ class BufferManager:
             # No occupancy update: stealing moves pages between a working
             # space and the OLTP footprint, so the used-page count (the
             # monitored signal) is unchanged.
-            if victim.steal_callback is not None:
-                victim.steal_callback(take)
         return added
 
     def release_oltp_footprint(self, pages: int) -> int:

@@ -31,7 +31,6 @@ class DeadlockDetector:
         self.detection_interval = detection_interval
         self.abort_callback = abort_callback
         self._waits_for: Dict[int, Set[int]] = {}
-        self.victims: List[int] = []
         self._running = False
 
     # -- graph maintenance ----------------------------------------------------
@@ -98,7 +97,6 @@ class DeadlockDetector:
                 break
             victim = max(cycle)
             victims.append(victim)
-            self.victims.append(victim)
             self.remove_transaction(victim)
             if self.abort_callback is not None:
                 self.abort_callback(victim)

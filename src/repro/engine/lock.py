@@ -66,9 +66,6 @@ class LockManager:
         # iteration order would vary with PYTHONHASHSEED and make mixed
         # OLTP workloads (Fig. 9) irreproducible across interpreter runs.
         self._held_by_txn: Dict[int, Dict[object, None]] = {}
-        self.acquired = 0
-        self.waited = 0
-        self.aborts = 0
 
     # -- acquisition ---------------------------------------------------------
     def acquire(self, txn_id: int, resource: object, mode: LockMode) -> Event:
@@ -89,7 +86,6 @@ class LockManager:
             event.succeed(mode)
             return event
         # Must wait: register the waits-for edges for deadlock detection.
-        self.waited += 1
         request = _LockRequest(txn_id=txn_id, mode=mode, event=event)
         entry.waiters.append(request)
         if self.deadlock_detector is not None:
@@ -120,7 +116,6 @@ class LockManager:
         if current is None or mode is LockMode.EXCLUSIVE:
             entry.holders[txn_id] = mode
         self._held_by_txn.setdefault(txn_id, {})[resource] = None
-        self.acquired += 1
 
     # -- release ----------------------------------------------------------------
     def release_all(self, txn_id: int) -> None:
@@ -178,7 +173,6 @@ class LockManager:
             if found:
                 self._wake_waiters(resource, entry)
         if found:
-            self.aborts += 1
             self.release_all(txn_id)
         return found
 

@@ -47,11 +47,6 @@ class ProcessingElement:
         self.transactions = TransactionManager(
             env, pe_id, config.multiprogramming_level
         )
-        # Statistics counters updated by the execution layer.
-        self.joins_processed = 0
-        self.oltp_processed = 0
-        self.temp_pages_written = 0
-        self.temp_pages_read = 0
         self._disk_snapshot = self.disks.snapshot()
         self._recent_disk_utilization = 0.0
 

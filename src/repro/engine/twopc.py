@@ -19,15 +19,7 @@ from typing import Sequence
 from repro.hardware.cpu import PRIORITY_QUERY
 from repro.hardware.network import Network
 
-__all__ = ["CommitStatistics", "run_commit"]
-
-
-class CommitStatistics:
-    """Counts of commit rounds and messages (for tests and reports)."""
-
-    def __init__(self) -> None:
-        self.commits = 0
-        self.messages = 0
+__all__ = ["run_commit"]
 
 
 def _pe_id(pe):
@@ -73,7 +65,6 @@ def run_commit(
     participants: Sequence,
     network: Network,
     priority: int = PRIORITY_QUERY,
-    statistics: CommitStatistics | None = None,
 ):
     """Simulation step running the read-only commit round.
 
@@ -82,9 +73,6 @@ def run_commit(
     participants takes no part in the round.
     """
     remote = [pe for pe in participants if pe is not coordinator]
-    if statistics is not None:
-        statistics.commits += 1
-        statistics.messages += 2 * len(remote)
     if not remote:
         return
     env = coordinator.env

@@ -41,7 +41,8 @@ def execute_oltp_transaction(
     pe = system.pes[transaction.home_pe if transaction.home_pe is not None else transaction.coordinator_pe]
 
     # Maintain the OLTP buffer footprint on this node (steals from joins if
-    # necessary -- the PPHJ steal callback reacts by spooling partitions).
+    # necessary -- a running PPHJ join then spools the partitions it can no
+    # longer keep resident).
     pe.buffer.ensure_oltp_footprint(oltp_config.working_set_pages)
 
     # BOT.
@@ -93,5 +94,4 @@ def execute_oltp_transaction(
     pe.locks.release_all(transaction.txn_id)
 
     transaction.completion_time = env.now
-    pe.oltp_processed += 1
     return transaction

@@ -68,8 +68,8 @@ def execute_join_query(
     """Simulation process executing one join query end to end.
 
     ``system`` is a :class:`~repro.simulation.system.ParallelSystem`-like
-    object exposing ``pes``, ``network``, ``catalog``, ``config`` and
-    ``commit_stats``.  Returns a :class:`JoinExecutionResult`.
+    object exposing ``env``, ``pes``, ``network``, ``catalog`` and
+    ``config``.  Returns a :class:`JoinExecutionResult`.
     """
     env = system.env
     config = system.config
@@ -202,9 +202,7 @@ def execute_join_query(
 
     # -- distributed commit (read-only optimisation: single round).
     participant_pes = [system.pes[pe_id] for pe_id in participants if pe_id != coordinator.pe_id]
-    yield from run_commit(
-        coordinator, participant_pes, network, priority=priority, statistics=system.commit_stats
-    )
+    yield from run_commit(coordinator, participant_pes, network, priority=priority)
     for pe_id in participants:
         system.pes[pe_id].locks.release_all(query.txn_id)
     coordinator.locks.release_all(query.txn_id)

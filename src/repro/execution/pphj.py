@@ -94,18 +94,10 @@ class PPHJExecutor:
         # Execution state / statistics.
         self.working_space: Optional[WorkingSpace] = None
         self.memory_wait_time = 0.0
-        self.granted_pages = 0
-        self.stolen_pages = 0
         self.overflow_inner_pages = 0
         self.overflow_outer_pages = 0
-        self.temp_pages_written = 0
-        self.temp_pages_read = 0
 
     # -- memory management -------------------------------------------------------
-    def _on_steal(self, pages: int) -> None:
-        """Buffer manager callback: memory was taken by higher-priority work."""
-        self.stolen_pages += pages
-
     def acquire_memory(self) -> Generator:
         """Wait in the FCFS memory queue until the minimal space is available."""
         start = self.env.now
@@ -113,13 +105,9 @@ class PPHJExecutor:
         desired = min(self.desired_pages, buffer.total_pages)
         minimum = min(self.share.min_pages, buffer.total_pages, desired)
         self.working_space = yield buffer.reserve(
-            self.owner,
-            desired_pages=desired,
-            min_pages=minimum,
-            steal_callback=self._on_steal,
+            self.owner, desired_pages=desired, min_pages=minimum
         )
         self.memory_wait_time = self.env.now - start
-        self.granted_pages = self.working_space.pages
 
     def release_memory(self) -> None:
         if self.working_space is not None:
@@ -174,11 +162,9 @@ class PPHJExecutor:
             ios = math.ceil(self.overflow_inner_pages / prefetch)
             yield from pe.cpu.consume(ios * costs.io_operation, priority=priority)
             yield from pe.disks.write_sequential(self.overflow_inner_pages)
-            self.temp_pages_written += self.overflow_inner_pages
-            pe.temp_pages_written += self.overflow_inner_pages
 
     # -- probe phase --------------------------------------------------------------------
-    def probe_phase(self, result_destination=None) -> Generator:
+    def probe_phase(self) -> Generator:
         """Receive the outer share, probe resident partitions, spool the rest,
         perform the deferred join for disk-resident partitions and ship the
         result to the coordinator."""
@@ -206,8 +192,6 @@ class PPHJExecutor:
                 ios = math.ceil(self.overflow_outer_pages / prefetch)
                 yield from pe.cpu.consume(ios * costs.io_operation, priority=priority)
                 yield from pe.disks.write_sequential(self.overflow_outer_pages)
-                self.temp_pages_written += self.overflow_outer_pages
-                pe.temp_pages_written += self.overflow_outer_pages
 
         # Deferred join of disk-resident partitions.
         deferred_pages = self.overflow_inner_pages + self.overflow_outer_pages
@@ -224,8 +208,6 @@ class PPHJExecutor:
             io_process = self.env.process(pe.disks.read_sequential(deferred_pages))
             cpu_process = self.env.process(pe.cpu.consume(cpu, priority=priority))
             yield self.env.all_of([io_process, cpu_process])
-            self.temp_pages_read += deferred_pages
-            pe.temp_pages_read += deferred_pages
 
         # Produce and ship the result tuples.
         if share.result_tuples > 0:
@@ -236,8 +218,6 @@ class PPHJExecutor:
             yield from self.network.transfer(
                 result_bytes, src=pe.pe_id, dst=self.coordinator_pe
             )
-
-        pe.joins_processed += 1
 
     # -- combined statistics -----------------------------------------------------------------
     @property

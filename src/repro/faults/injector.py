@@ -120,8 +120,6 @@ class FaultRuntime:
         self.injected = 0
         self.kills = 0
         self.resubmits = 0
-        self.holds = 0
-        self.rebalanced_pages = 0
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -296,13 +294,13 @@ class FaultRuntime:
         """
         if isinstance(transaction, JoinQuery):
             if not self._data_reachable(transaction):
-                self._hold(transaction)
+                self._held.append(transaction)
                 return False
             coordinator = transaction.coordinator_pe
             if not (self.alive[coordinator] and self.joined[coordinator]):
                 remapped = self._next_eligible(coordinator)
                 if remapped is None:
-                    self._hold(transaction)
+                    self._held.append(transaction)
                     return False
                 transaction.coordinator_pe = remapped
             return True
@@ -310,13 +308,9 @@ class FaultRuntime:
         if home is None:
             home = transaction.coordinator_pe
         if not self.alive[home]:
-            self._hold(transaction)
+            self._held.append(transaction)
             return False
         return True
-
-    def _hold(self, transaction: Transaction) -> None:
-        self.holds += 1
-        self._held.append(transaction)
 
     def track(self, transaction: Transaction, process) -> None:
         """Register a root process (and, via inheritance, its descendants)."""
@@ -466,7 +460,6 @@ class FaultRuntime:
         page_size = self.system.config.buffer.page_size_bytes
         yield from self.system.network.transfer_chain([page_size] * pages, src=src, dst=dst)
         yield from self.system.pes[dst].disks.write_sequential(pages)
-        self.rebalanced_pages += pages
 
     def _kill_record(self, record: _TxnRecord) -> None:
         self.kills += 1

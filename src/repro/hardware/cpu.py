@@ -133,7 +133,6 @@ class CpuServer:
         self._window_start_time = 0.0
         self._window_start_busy = 0.0
         self._windowed_utilization = 0.0
-        self.total_instructions = 0.0
 
     # -- service -----------------------------------------------------------
     def seconds_for(self, instructions: float) -> float:
@@ -156,7 +155,6 @@ class CpuServer:
         """
         if instructions <= 0:
             return
-        self.total_instructions += instructions
         env = self.env
         resource = self.resource
         quantum = self._quantum

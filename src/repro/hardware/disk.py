@@ -18,13 +18,12 @@ no competition and the controller is idle, the whole chain is covered by a
 single macro-event instead, with the chain *virtualised*: a ``_ChainBatch``,
 a :class:`~repro.sim.core.BatchRun` subclass, folds the phase ends and
 replays each phase transition (busy flags, ``users`` membership, busy-time
-pieces, ``physical_ios``) lazily before any observation, using the same
-float folds as the per-chunk loop, so utilisation accounting and
-disk-picking decisions are bit-identical; the marker, relay and split
-protocol is the kernel's.  Any external request on the disk or the
-controller splits the macro-event at the current phase boundary and the
-chain falls back to per-chunk mode from there, exactly where the unbatched
-loop would have yielded the slot.
+pieces) lazily before any observation, using the same float folds as the
+per-chunk loop, so utilisation accounting and disk-picking decisions are
+bit-identical; the marker, relay and split protocol is the kernel's.  Any
+external request on the disk or the controller splits the macro-event at
+the current phase boundary and the chain falls back to per-chunk mode from
+there, exactly where the unbatched loop would have yielded the slot.
 """
 
 from __future__ import annotations
@@ -146,7 +145,6 @@ class _ChainBatch(BatchRun):
         nt = self.next_time
         if nt > now or (nt == now and not inclusive):
             return
-        array = self.array
         disk = self.disk
         ctl = self.controller
         disk_req = self.disk_req
@@ -170,7 +168,6 @@ class _ChainBatch(BatchRun):
                     phase = _PHASE_CTL
                 else:
                     i += 1
-                    array.physical_ios += 1
                     disk._last_change = nt
                     disk._busy_servers += 1
                     disk.users.add(disk_req)
@@ -182,7 +179,6 @@ class _ChainBatch(BatchRun):
                 ctl._busy_servers -= 1
                 ctl.users.discard(self.ctl_req)
                 i += 1
-                array.physical_ios += 1
                 disk._last_change = nt
                 disk._busy_servers += 1
                 disk.users.add(disk_req)
@@ -250,23 +246,18 @@ class DiskArray:
         #: execution layer to derive I/O counts without re-clamping).
         self.prefetch = max(1, config.prefetch_pages)
         self.cache = LruCache(config.cache_pages)
-        self.pages_read = 0
-        self.pages_written = 0
-        self.physical_ios = 0
         #: The (single) active chain batch of this array, if any.
         self._batch: Optional[_ChainBatch] = None
         self._coalesce = coalescing_enabled()
 
     # -- helpers -----------------------------------------------------------
-    def _pick_disk(self, preferred: Optional[int] = None) -> Resource:
+    def _pick_disk(self) -> Resource:
         batch = self._batch
         if batch is not None:
             # Bring the virtualised disk/controller state up to date before
             # reading busy flags for the placement decision.
             batch.sync(self.env._now)
         disks = self.disks
-        if preferred is not None:
-            return disks[preferred % len(disks)]
         if len(disks) == 1:
             return disks[0]
         # First disk with the smallest (queue_length, busy) pair -- the same
@@ -300,7 +291,6 @@ class DiskArray:
         self, disk: Resource, busy_time: float, controller_pages: int
     ) -> Generator:
         """One physical I/O: queue at the disk, then at the controller."""
-        self.physical_ios += 1
         env = self.env
         config = self.config
         batch = None
@@ -343,9 +333,7 @@ class DiskArray:
                 controller.release(req)
 
     # -- public operations ---------------------------------------------------
-    def read_sequential(
-        self, pages: int, preferred_disk: Optional[int] = None
-    ) -> Generator:
+    def read_sequential(self, pages: int) -> Generator:
         """Sequential read of ``pages`` pages with controller prefetching.
 
         Used for relation scans, clustered index scans and temporary file
@@ -353,10 +341,9 @@ class DiskArray:
         """
         if pages <= 0:
             return
-        self.pages_read += pages
-        yield from self._sequential_io(pages, preferred_disk)
+        yield from self._sequential_io(pages)
 
-    def _sequential_io(self, pages: int, preferred_disk: Optional[int]) -> Generator:
+    def _sequential_io(self, pages: int) -> Generator:
         """Chunked physical I/Os for a sequential read or write.
 
         The per-chunk work of :meth:`_physical_io` is inlined (no sub-generator
@@ -370,8 +357,7 @@ class DiskArray:
         remaining = pages
         while remaining > 0:
             chunk = prefetch if remaining > prefetch else remaining
-            disk = self._pick_disk(preferred_disk)
-            self.physical_ios += 1
+            disk = self._pick_disk()
             req = disk.request()
             batch = None
             try:
@@ -434,9 +420,8 @@ class DiskArray:
                             controller.release(req)
                 remaining -= batch.pages_consumed(remaining, prefetch)
 
-    def read_random(self, page_key: object = None, preferred_disk: Optional[int] = None) -> Generator:
+    def read_random(self, page_key: object = None) -> Generator:
         """Random single-page read, going through the controller LRU cache."""
-        self.pages_read += 1
         if page_key is not None and self.cache.access(page_key):
             # Cache hit: controller service and transmission only.
             controller = self.controller
@@ -448,22 +433,18 @@ class DiskArray:
                 controller.release(req)
             return
         busy = self.config.random_io_time()
-        yield from self._physical_io(self._pick_disk(preferred_disk), busy, 1)
+        yield from self._physical_io(self._pick_disk(), busy, 1)
 
-    def write_sequential(
-        self, pages: int, preferred_disk: Optional[int] = None
-    ) -> Generator:
+    def write_sequential(self, pages: int) -> Generator:
         """Sequential write of ``pages`` pages (temporary files, checkpoints)."""
         if pages <= 0:
             return
-        self.pages_written += pages
-        yield from self._sequential_io(pages, preferred_disk)
+        yield from self._sequential_io(pages)
 
-    def write_random(self, preferred_disk: Optional[int] = None) -> Generator:
+    def write_random(self) -> Generator:
         """Random single-page write (log forces, dirty page flushes)."""
-        self.pages_written += 1
         busy = self.config.random_io_time()
-        yield from self._physical_io(self._pick_disk(preferred_disk), busy, 1)
+        yield from self._physical_io(self._pick_disk(), busy, 1)
 
     # -- statistics ----------------------------------------------------------
     def utilization(self) -> float:

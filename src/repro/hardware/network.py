@@ -9,9 +9,8 @@ bandwidth-limited transfer time.
 
 The network object is purely computational (no queueing): the caller charges
 the CPU costs on the appropriate :class:`~repro.hardware.cpu.CpuServer` and
-waits for :meth:`transfer_time`.  An optional global bandwidth resource can be
-enabled to study interconnect saturation, but is off by default because the
-paper treats the network as non-bottleneck.
+waits for :meth:`transfer_time`.  The paper treats the network as
+non-bottleneck, so transfers never queue for the wire.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from repro.config.parameters import InstructionCosts, NetworkConfig, TopologyConfig
-from repro.sim import BatchWalk, Environment, Resource, Timeout, coalescing_enabled
+from repro.sim import BatchWalk, Environment, Timeout, coalescing_enabled
 
 __all__ = ["Network"]
 
@@ -42,20 +41,12 @@ class Network:
         env: Environment,
         config: NetworkConfig,
         costs: InstructionCosts,
-        model_contention: bool = False,
-        link_capacity: int = 64,
         topology: Optional[TopologyConfig] = None,
         num_pe: int = 0,
     ):
         self.env = env
         self.config = config
         self.costs = costs
-        self.messages_sent = 0
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self._fabric: Optional[Resource] = (
-            Resource(env, capacity=link_capacity, name="network") if model_contention else None
-        )
         self._coalesce = coalescing_enabled()
         self._topology = topology if topology is not None else TopologyConfig()
         self._num_pe = num_pe
@@ -105,53 +96,33 @@ class Network:
         return packets * latency + nbytes / bandwidth
 
     def transfer(self, nbytes: int, src: Optional[int] = None, dst: Optional[Endpoint] = None):
-        """Simulation step: occupy the fabric (if modelled) for the transfer."""
-        self.messages_sent += 1
-        self.packets_sent += self.packets_for(nbytes)
-        self.bytes_sent += max(0, nbytes)
-        delay = self.transfer_time(nbytes, src, dst)
-        fabric = self._fabric
-        if fabric is None:
-            yield Timeout(self.env, delay)
-            return
-        req = fabric.request()
-        try:
-            yield req
-            yield Timeout(self.env, delay)
-        finally:
-            fabric.release(req)
+        """Simulation step: wait out the wire time of one message."""
+        yield Timeout(self.env, self.transfer_time(nbytes, src, dst))
 
     def transfer_chain(
         self, sizes: Iterable[int], src: Optional[int] = None, dst: Optional[Endpoint] = None
     ):
         """Simulation step: a burst of back-to-back transfers by one sender.
 
-        Without fabric contention modelling the burst collapses into a single
-        macro-event whose end time folds the per-message delays exactly as
-        sequential :meth:`transfer` calls would advance the clock, so the
-        completion time is bit-identical; stats are still counted
-        per-message.  With a fabric resource enabled, messages fall back to
-        per-message requests (the shared link is a contended multi-server
-        resource and must observe every arrival).
+        The burst collapses into a single macro-event whose end time folds
+        the per-message delays exactly as sequential :meth:`transfer` calls
+        would advance the clock, so the completion time is bit-identical.
 
         Callers that pre-aggregate a burst into one message (the common idiom
-        in the execution layer) need no chain at all; this is for flows that
-        must keep per-message accounting.
+        in the execution layer) need no chain at all; this is for flows whose
+        messages each pay their own per-packet wire latency.
         """
         sizes = list(sizes)
         if not sizes:
             return
         env = self.env
-        if self._fabric is None and self._coalesce and len(sizes) > 1:
+        if self._coalesce and len(sizes) > 1:
             # Interior boundaries and the end repeat the unbatched loop's
             # float fold; the walker's hop markers keep heap pushes at the
             # same simulated instants as the per-message timeouts would be.
             end = env._now
             boundaries = []
             for nbytes in sizes:
-                self.messages_sent += 1
-                self.packets_sent += self.packets_for(nbytes)
-                self.bytes_sent += max(0, nbytes)
                 end += self.transfer_time(nbytes, src, dst)
                 boundaries.append(end)
             boundaries.pop()  # the chain end is the macro-event itself

@@ -157,7 +157,6 @@ class HttpBackend:
         try:
             config = self._call("GET", "/config")
             self.lease_seconds = float(config["lease_seconds"])
-            self.server_max_attempts = int(config.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
         except BaseException:
             self.close()
             raise

@@ -57,21 +57,23 @@ def _replace_path(obj, path: str, value):
     """Return ``obj`` with the dotted dataclass-field ``path`` replaced."""
     import dataclasses
 
-    field_names = (
-        {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
-    )
-    head, _, rest = path.partition(".")
-    if head not in field_names:
-        raise AttributeError(f"config has no field {head!r} (override path {path!r})")
-    current = getattr(obj, head)
-    if rest:
-        value = _replace_path(current, rest, value)
-    elif dataclasses.is_dataclass(current) and not dataclasses.is_dataclass(value):
+    names = path.split(".")
+    parents = []
+    for name in names:
+        if not dataclasses.is_dataclass(obj) or name not in {
+            f.name for f in dataclasses.fields(obj)
+        }:
+            raise AttributeError(f"config has no field {name!r} (override path {path!r})")
+        parents.append(obj)
+        obj = getattr(obj, name)
+    if dataclasses.is_dataclass(obj) and not dataclasses.is_dataclass(value):
         raise AttributeError(
-            f"config field {head!r} is a section, not a scalar; "
-            f"override one of its fields instead (e.g. {head}.<field>)"
+            f"config field {path!r} is a section, not a scalar; "
+            f"override one of its fields instead (e.g. {path}.<field>)"
         )
-    return replace(obj, **{head: value})
+    for parent, name in zip(reversed(parents), reversed(names)):
+        value = replace(parent, **{name: value})
+    return value
 
 
 def apply_config_overrides(config, overrides: Sequence[Sequence[object]]):

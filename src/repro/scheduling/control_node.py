@@ -63,7 +63,6 @@ class ControlNode:
             )
             for pe in self.pes
         }
-        self.reports = 0
         self._running = False
 
     # -- reporting -----------------------------------------------------------
@@ -87,7 +86,6 @@ class ControlNode:
             status.cpu_utilization = pe.recent_cpu_utilization
             status.free_memory_pages = pe.buffer.free_pages
             status.disk_utilization = pe.recent_disk_utilization
-        self.reports += 1
 
     # -- queries by the load balancing strategies ---------------------------------
     def status_of(self, pe_id: int) -> NodeStatus:

@@ -210,7 +210,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers after ``delay`` units of simulated time."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -221,7 +221,6 @@ class Timeout(Event):
         self.callbacks = None
         self._value = value
         self._ok = True
-        self.delay = delay
         eid = env._eid = env._eid + 1
         heappush(env._queue, (env._now + delay, eid, self))
 

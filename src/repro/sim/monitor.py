@@ -134,7 +134,7 @@ class ValueMonitor:
 class TimeWeightedMonitor:
     """Time-weighted average of a piecewise-constant signal."""
 
-    __slots__ = ("env", "name", "_value", "_last_time", "_area", "_start_time", "_maximum")
+    __slots__ = ("env", "name", "_value", "_last_time", "_area", "_start_time")
 
     def __init__(self, env, initial: float = 0.0, name: str = ""):
         self.env = env
@@ -143,7 +143,6 @@ class TimeWeightedMonitor:
         self._last_time = env.now
         self._area = 0.0
         self._start_time = env.now
-        self._maximum = float(initial)
 
     @property
     def value(self) -> float:
@@ -156,8 +155,6 @@ class TimeWeightedMonitor:
         self._area += self._value * (now - self._last_time)
         self._last_time = now
         self._value = float(new_value)
-        if new_value > self._maximum:
-            self._maximum = float(new_value)
 
     def add(self, delta: float) -> None:
         """Increment the signal by ``delta``."""
@@ -168,7 +165,6 @@ class TimeWeightedMonitor:
         self._area = 0.0
         self._last_time = self.env.now
         self._start_time = self.env.now
-        self._maximum = self._value
 
     def time_average(self, until: Optional[float] = None) -> float:
         """Time-weighted mean of the signal since the last reset."""
@@ -187,7 +183,3 @@ class TimeWeightedMonitor:
         must not disturb the run-level averages).
         """
         return self._area + self._value * (self.env.now - self._last_time)
-
-    @property
-    def maximum(self) -> float:
-        return self._maximum

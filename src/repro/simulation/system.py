@@ -16,7 +16,6 @@ from repro.config.parameters import SystemConfig
 from repro.database.catalog import Catalog
 from repro.engine.deadlock import DeadlockDetector
 from repro.engine.pe import ProcessingElement
-from repro.engine.twopc import CommitStatistics
 from repro.execution.oltp import execute_oltp_transaction
 from repro.execution.parallel_join import execute_join_query
 from repro.faults.injector import FaultRuntime
@@ -71,7 +70,6 @@ class ParallelSystem:
         self.catalog = Catalog.from_config(config)
         self.cost_model = CostModel(config)
         self.control_node = ControlNode(self.env, self.pes, config.control)
-        self.commit_stats = CommitStatistics()
         self.metrics = MetricsCollector(self.env)
 
         # Workload routing.
@@ -100,7 +98,6 @@ class ParallelSystem:
         # schedules no event, so fault-free runs keep their outputs.
         self.faults = FaultRuntime(self, faults or ())
         self._started = False
-        self.submitted = 0
 
     # -- lifecycle ------------------------------------------------------------------
     def start(self) -> None:
@@ -122,7 +119,6 @@ class ParallelSystem:
     def submit(self, transaction: Transaction) -> None:
         """Accept a new transaction or query (called by the workload generator)."""
         self.start()
-        self.submitted += 1
         if isinstance(transaction, JoinQuery):
             self._join_router.route(transaction)
         elif isinstance(transaction, OltpTransaction):

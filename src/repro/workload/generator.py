@@ -2,13 +2,11 @@
 
 The simulation system is an open queuing model: every transaction and query
 type has its own arrival process (paper §4).  Arrival processes are Poisson
-(exponential inter-arrival times) by default; deterministic arrivals are
-available for tests and for single-user experiments where exactly one query
-is in the system at a time.  Non-stationary profiles (bursty MMPP,
-sinusoidal, load surges, trace replay) plug in through
-:mod:`repro.workload.arrivals`: any :class:`WorkloadClass` can carry an
-:class:`~repro.workload.arrivals.ArrivalProcess` that modulates its rate
-over simulated time.
+(exponential inter-arrival times) by default.  Fixed spacing and
+non-stationary profiles (bursty MMPP, sinusoidal, load surges, trace replay)
+plug in through :mod:`repro.workload.arrivals`: any :class:`WorkloadClass`
+can carry an :class:`~repro.workload.arrivals.ArrivalProcess` that sets its
+inter-arrival times over simulated time.
 """
 
 from __future__ import annotations
@@ -35,26 +33,23 @@ class WorkloadClass:
     """One transaction/query class with its own arrival stream.
 
     ``arrival_rate`` is the class's (mean) rate in arrivals per second over
-    the whole system.  By default arrivals are Poisson at that rate
-    (``deterministic=True`` switches to fixed inter-arrival times); setting
+    the whole system.  By default arrivals are Poisson at that rate; setting
     ``arrival`` to an :class:`~repro.workload.arrivals.ArrivalProcess`
-    instead samples a possibly non-stationary process -- ``arrival_rate``
-    then documents the profile's long-run mean.
+    instead samples that process (fixed spacing, or a non-stationary
+    profile) -- ``arrival_rate`` then documents the profile's long-run mean.
     """
 
     name: str
     factory: TransactionFactory
     arrival_rate: float  # arrivals per second over the whole system
-    deterministic: bool = False  # exponential (False) or fixed inter-arrival
-    arrival: Optional[ArrivalProcess] = None  # non-stationary rate profile
+    arrival: Optional[ArrivalProcess] = None  # fixed or non-stationary profile
 
     def interarrival(self, rng: random.Random, now: float = 0.0) -> float:
         if self.arrival is not None:
             return self.arrival.interarrival(now, rng)
         if self.arrival_rate <= 0:
             return float("inf")
-        mean = 1.0 / self.arrival_rate
-        return mean if self.deterministic else rng.expovariate(self.arrival_rate)
+        return rng.expovariate(self.arrival_rate)
 
     def begin_stream(self) -> None:
         """Reset any modulating arrival-process state before a sampling pass."""
@@ -172,20 +167,18 @@ class WorkloadGenerator:
         self.env = env
         self.spec = spec
         self.submit = submit
-        self.generated: dict[str, int] = {cls.name: 0 for cls in spec.classes}
         #: Multiplier on every class's arrival rate, adjusted at runtime by
         #: the fault injector's cascading-overload (surge) coupling.  At the
         #: default 1.0 the sampled delays pass through untouched, keeping the
         #: per-class RNG streams byte-identical to surge-free runs.
         self.rate_scale = 1.0
-        self._processes = []
 
     def start(self) -> None:
         """Start one arrival process per workload class."""
         for index, workload_class in enumerate(self.spec.classes):
             # Deterministic per-class seed (independent of PYTHONHASHSEED).
             rng = random.Random(self.spec.seed * 1009 + index)
-            self._processes.append(self.env.process(self._arrivals(workload_class, rng)))
+            self.env.process(self._arrivals(workload_class, rng))
 
     def _arrivals(self, workload_class: WorkloadClass, rng: random.Random):
         if workload_class.arrival_rate <= 0 and workload_class.arrival is None:
@@ -201,5 +194,4 @@ class WorkloadGenerator:
             yield self.env.timeout(delay)
             transaction = workload_class.factory()
             transaction.arrival_time = self.env.now
-            self.generated[workload_class.name] += 1
             self.submit(transaction)

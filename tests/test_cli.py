@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -206,9 +207,12 @@ def test_option_the_scenario_does_not_take_is_rejected(argv, flag):
         main(argv)
 
 
-def test_set_on_a_field_the_config_lacks_is_rejected():
-    with pytest.raises(SystemExit, match="config has no field 'access_method'"):
-        main(["sweep", "--sizes", "4", "--set", "join_query.access_method=scan"])
+@pytest.mark.parametrize("path", ["join_query.access_method", "relation_a.index_type"])
+def test_set_on_a_field_the_config_lacks_is_rejected(path):
+    field = path.rpartition(".")[2]
+    message = f"config has no field '{field}' (override path '{path}')"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["sweep", "--sizes", "4", "--set", f"{path}=1"])
 
 
 def test_parser_requires_command():

@@ -1,9 +1,13 @@
 """Tests for the configuration defaults (Fig. 4 of the paper)."""
 
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import (
     MS,
     CpuConfig,
@@ -15,6 +19,9 @@ from repro.config import (
     RelationConfig,
     SystemConfig,
 )
+
+#: The source tree of the package under test.
+PACKAGE = Path(repro.__file__).parent
 
 
 def test_instruction_costs_match_paper_table():
@@ -136,6 +143,27 @@ def test_relation_pages_for_tuples():
     assert rel.pages_for_tuples(21) == 2
 
 
+def _names_read(*roots):
+    """Attribute names the Python files under ``roots`` read: every load
+    ``x.name`` and every ``getattr(x, "name")`` string argument."""
+    loaded = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                ):
+                    loaded.add(node.args[1].value)
+    return loaded
+
+
 def test_every_config_field_is_read():
     """Every config field is read somewhere in ``src/repro``.
 
@@ -143,27 +171,9 @@ def test_every_config_field_is_read():
     never its result, so it offers a choice the simulator does not make.
     A read is an attribute load ``x.field`` or ``getattr(x, "field")``.
     """
-    import ast
-    import inspect
-    from pathlib import Path
-
-    import repro
     from repro.config import parameters
 
-    loaded = set()
-    for path in Path(repro.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                loaded.add(node.args[1].value)
+    loaded = _names_read(PACKAGE)
     unread = sorted(
         f"{cls.__name__}.{field.name}"
         for cls in vars(parameters).values()
@@ -174,3 +184,30 @@ def test_every_config_field_is_read():
         if field.name not in loaded
     )
     assert not unread, f"config fields nothing reads: {unread}"
+
+
+def test_every_stored_attribute_is_read():
+    """Every attribute ``src/repro`` stores on ``self`` is read somewhere.
+
+    A value the program writes and nothing reads costs a store on every
+    call that writes it and explains no output.  The readers are the
+    package, ``perfbench``, ``benchmarks`` and ``examples``; ``tests`` is
+    not one, so a test checks behaviour the program exposes, not private
+    bookkeeping.  A read matches by name, as in the config check above.
+    """
+    root = Path(__file__).resolve().parents[1]
+    loaded = _names_read(PACKAGE, root / "perfbench", root / "benchmarks", root / "examples")
+    stored = set()
+    for path in PACKAGE.rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef):
+                stored.update(
+                    (cls.name, node.attr)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                )
+    unread = sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in loaded)
+    assert not unread, f"attributes stored on self and never read: {unread}"

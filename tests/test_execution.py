@@ -57,7 +57,11 @@ def test_redistribution_packet_fragmentation():
     assert redistribution_packets(network, 100, 0) == 0
 
 
-def test_scan_fragment_charges_cpu_and_disk():
+def disk_busy_time(pe):
+    return sum(disk.busy_time() for disk in pe.disks.disks)
+
+
+def test_scan_fragment_charges_cpu_and_disk(record_calls):
     env, config, pe, network = build_node()
     catalog = Catalog.from_config(config)
     relation = catalog.relation("A")
@@ -65,6 +69,7 @@ def test_scan_fragment_charges_cpu_and_disk():
     # Rebuild a PE with the id owning the fragment.
     pe = ProcessingElement(env, pe_id=pe_for_fragment, config=config)
     work = plan_scan(relation, pe_for_fragment, 0.01, 400)
+    sent = record_calls(network, "transfer")
     done = []
 
     def run():
@@ -74,9 +79,16 @@ def test_scan_fragment_charges_cpu_and_disk():
     env.process(run())
     env.run()
     assert done and done[0] > 0
-    assert pe.disks.pages_read == work.total_pages
-    assert pe.cpu.total_instructions > 0
-    assert network.messages_sent == 1
+    # Every page is read once, in prefetch-sized sequential I/Os.
+    prefetch = pe.disks.prefetch
+    chunks = [
+        min(prefetch, work.total_pages - start) for start in range(0, work.total_pages, prefetch)
+    ]
+    assert disk_busy_time(pe) == pytest.approx(
+        sum(config.disk.sequential_io_time(chunk) for chunk in chunks)
+    )
+    assert pe.cpu.resource.busy_time() > 0
+    assert sent == [(work.output_bytes,)]
 
 
 # -- PPHJ share arithmetic ---------------------------------------------------------------
@@ -125,45 +137,44 @@ def make_executor(pe, network, config, inner=400, outer=1_600, desired=None):
     )
 
 
+def run_join(executor, granted):
+    """Run one join processor's share, noting its granted working space."""
+    yield from executor.acquire_memory()
+    granted.append(executor.working_space.pages)
+    yield from executor.build_phase()
+    yield from executor.probe_phase()
+    executor.release_memory()
+
+
 def test_pphj_no_overflow_when_memory_sufficient():
     env, config, pe, network = build_node(buffer_pages=50)
     executor = make_executor(pe, network, config, inner=400, outer=1_600)
-
-    def run():
-        yield from executor.acquire_memory()
-        yield from executor.build_phase()
-        yield from executor.probe_phase()
-        executor.release_memory()
-
-    env.process(run())
+    granted = []
+    join = env.process(run_join(executor, granted))
     env.run()
-    assert executor.granted_pages >= executor.share.hash_table_pages
+    assert join.processed
+    assert granted[0] >= executor.share.hash_table_pages
     assert executor.overflow_pages == 0
     assert executor.memory_wait_time == 0.0
-    assert pe.temp_pages_written == 0
-    assert pe.joins_processed == 1
+    assert disk_busy_time(pe) == 0.0  # no temporary file written or read
     assert pe.buffer.free_pages == 50
 
 
-def test_pphj_overflow_when_memory_tight():
+def test_pphj_overflow_when_memory_tight(record_calls):
     env, config, pe, network = build_node(buffer_pages=10)
     executor = make_executor(pe, network, config, inner=400, outer=1_600)
-
-    def run():
-        yield from executor.acquire_memory()
-        yield from executor.build_phase()
-        yield from executor.probe_phase()
-        executor.release_memory()
-
-    env.process(run())
+    writes = record_calls(pe.disks, "write_sequential")
+    reads = record_calls(pe.disks, "read_sequential")
+    granted = []
+    env.process(run_join(executor, granted))
     env.run()
     # Hash table needs 21 pages but only 10 exist: partitions spill to disk.
-    assert executor.granted_pages <= 10
+    assert granted[0] <= 10
     assert executor.overflow_inner_pages > 0
     assert executor.overflow_outer_pages > 0
-    assert pe.temp_pages_written == executor.overflow_pages
-    assert pe.temp_pages_read == pytest.approx(executor.temp_pages_read)
-    assert pe.disks.pages_written >= executor.overflow_pages
+    # Both spills go to temporary files and the deferred join reads them back.
+    assert writes == [(executor.overflow_inner_pages,), (executor.overflow_outer_pages,)]
+    assert reads == [(executor.overflow_pages,)]
 
 
 def test_pphj_waits_in_memory_queue():
@@ -192,24 +203,27 @@ def test_pphj_waits_in_memory_queue():
     assert executor.memory_wait_time == pytest.approx(4.9, rel=1e-3)
 
 
-def test_pphj_steal_callback_records_pages():
+def test_pphj_adapts_when_oltp_steals_pages():
     env, config, pe, network = build_node(buffer_pages=30)
     # The join grabs the whole buffer, leaving no free memory.
     executor = make_executor(pe, network, config, inner=400, outer=1_600, desired=45)
+    pages = []
 
     def run():
         yield from executor.acquire_memory()
+        pages.append(executor.working_space.pages)
         # OLTP arrives and claims its protected working set (15 pages of the
         # 30-page buffer): pages are stolen from the running join, which must
         # spool partitions to disk (PPHJ adaptation).
         pe.buffer.ensure_oltp_footprint(30)
+        pages.append(executor.working_space.pages)
         yield from executor.build_phase()
         yield from executor.probe_phase()
         executor.release_memory()
 
     env.process(run())
     env.run()
-    assert executor.stolen_pages > 0
+    assert pages[1] < pages[0]
     assert executor.overflow_pages > 0
 
 
@@ -243,4 +257,4 @@ def test_pphj_receive_cost_grows_with_sources():
     env2.process(run(many))
     env1.run()
     env2.run()
-    assert pe2.cpu.total_instructions > pe1.cpu.total_instructions
+    assert pe2.cpu.resource.busy_time() > pe1.cpu.resource.busy_time()

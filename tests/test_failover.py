@@ -118,16 +118,25 @@ CRASH_PE1 = (FaultEvent(time=5.0, kind="pe_crash", pe=1, duration=10.0),)
 
 
 def _crash_run(replication):
+    """Run CRASH_PE1; also return how many transactions the fault runtime
+    holds just before PE 1 recovers at 15 s."""
     config = homogeneous_config(8)
     if replication is not None:
         config = config.with_overrides(replication=replication)
     driver = SimulationDriver(config, faults=CRASH_PE1)
+    held = []
+
+    def probe():
+        yield driver.env.timeout(14.9)
+        held.append(len(driver.system.faults._held))
+
+    driver.env.process(probe())
     result = driver.run_timed(20.0, timeline_window=5.0)
-    return driver, result
+    return driver, result, held[0]
 
 
 def test_single_copy_crash_is_a_total_outage():
-    driver, result = _crash_run(None)
+    driver, result, held = _crash_run(None)
     windows = list(result.timeline)
     outage = windows[1:3]  # [5,10) and [10,15): PE 1 down
     assert [window.joins_completed for window in outage] == [0, 0]
@@ -136,30 +145,29 @@ def test_single_copy_crash_is_a_total_outage():
         pytest.approx(0.9),
         pytest.approx(0.9),
     ]
-    runtime = driver.system.faults
-    assert runtime.holds > 0 and not runtime._held  # drained at recovery
+    assert held > 0 and not driver.system.faults._held  # drained at recovery
     assert windows[3].joins_completed > 0  # held burst completes
 
 
 def test_chained_crash_degrades_gracefully():
-    driver, result = _crash_run("chained")
+    _, result, held = _crash_run("chained")
     windows = list(result.timeline)
     outage = windows[1:3]
     # Reads failed over to surviving copies: joins keep completing and no
     # data ever became unreachable.
     assert all(window.joins_completed > 0 for window in outage)
     assert all(window.effective_availability == 1.0 for window in result.timeline)
-    assert driver.system.faults.holds == 0
+    assert held == 0
     # Pool availability still shows the crash (7 of 8 PEs): the two
     # availability notions separate exactly here.
     assert windows[1].availability == pytest.approx(7 / 8)
 
 
 def test_crash_contrast_none_vs_chained_differs_and_is_deterministic():
-    _, none_result = _crash_run(None)
-    _, chained_result = _crash_run("chained")
+    _, none_result, _ = _crash_run(None)
+    _, chained_result, _ = _crash_run("chained")
     assert none_result.to_dict() != chained_result.to_dict()
-    _, again = _crash_run("chained")
+    _, again, _ = _crash_run("chained")
     assert again.to_dict() == chained_result.to_dict()
 
 
@@ -198,7 +206,7 @@ def test_rack_fault_validates_against_topology():
 
 
 # -- cascading overload (crash-coupled surge) ---------------------------------------
-def test_crash_surge_scales_arrivals_and_retracts_at_recovery():
+def test_crash_surge_scales_arrivals_and_retracts_at_recovery(record_calls):
     def run(surge):
         # Busy arrivals: the scale applies to delays *sampled* while the
         # surge is active (RNG streams stay untouched), so the window must
@@ -212,16 +220,13 @@ def test_crash_surge_scales_arrivals_and_retracts_at_recovery():
                 FaultEvent(time=2.0, kind="pe_crash", pe=1, duration=3.0, surge=surge),
             ),
         )
-        result = driver.run_timed(12.0, timeline_window=3.0)
-        return driver, result
+        submitted = record_calls(driver.system, "submit")
+        driver.run_timed(12.0, timeline_window=3.0)
+        return driver, len(submitted)
 
-    base_driver, base = run(None)
-    surged_driver, surged = run(4.0)
-    del base, surged
-    assert (
-        surged_driver.system.workload_generator.generated["join"]
-        > base_driver.system.workload_generator.generated["join"]
-    )
+    base_driver, base_arrivals = run(None)
+    surged_driver, surged_arrivals = run(4.0)
+    assert surged_arrivals > base_arrivals
     # The surge is retracted by the matching recover: the generator is back
     # to the nominal rate (and the surge bookkeeping is empty) at the end.
     assert surged_driver.system.workload_generator.rate_scale == 1.0
@@ -230,26 +235,29 @@ def test_crash_surge_scales_arrivals_and_retracts_at_recovery():
 
 
 # -- re-replication after permanent loss --------------------------------------------
-def test_permanent_loss_re_replicates_the_fragment():
+def test_permanent_loss_re_replicates_the_fragment(record_calls):
     config = homogeneous_config(8).with_overrides(replication="chained")
     driver = SimulationDriver(
         config,
         faults=(FaultEvent(time=2.0, kind="pe_crash", pe=3),),  # never recovers
     )
+    shipped = record_calls(driver.system.faults, "_ship_pages")
     driver.system.start()
     driver.env.run(until=10.0)
-    runtime = driver.system.faults
-    assert runtime.rebalanced_pages == 0  # the background copy is in flight
+    assert shipped == []  # the background copy is in flight
     # Shipping and rewriting the 8k-page fragment takes the backup's disk
     # about a minute of simulated time; run past it.
     driver.env.run(until=120.0)
     b = driver.system.catalog.relation("B")
-    assert runtime.rebalanced_pages == b.fragment_on(3).pages
+    assert [pages for _, _, pages in shipped] == [b.fragment_on(3).pages]
 
 
-def test_temporary_crash_does_not_re_replicate():
-    driver, _ = _crash_run("chained")
-    assert driver.system.faults.rebalanced_pages == 0
+def test_temporary_crash_does_not_re_replicate(record_calls):
+    from repro.faults.injector import FaultRuntime
+
+    shipped = record_calls(FaultRuntime, "_ship_pages")
+    _crash_run("chained")
+    assert shipped == []
 
 
 # -- replica-maintenance writes (OLTP) ----------------------------------------------
@@ -272,16 +280,18 @@ def test_oltp_replica_maintenance_changes_the_run():
 
 
 # -- planned drain ------------------------------------------------------------------
-def test_drain_removes_pe_with_zero_aborts():
+def test_drain_removes_pe_with_zero_aborts(record_calls):
     config = homogeneous_config(4)
     driver = SimulationDriver(
         config,
         faults=(FaultEvent(time=1.0, kind="pe_remove", pe=3, pages=32, drain=True),),
     )
-    driver.run_timed(12.0, timeline_window=3.0)
     runtime = driver.system.faults
+    shipped = record_calls(runtime, "_ship_pages")
+    driver.run_timed(12.0, timeline_window=3.0)
     assert runtime.kills == 0  # nothing aborted: that is the point of drain
-    assert runtime.rebalanced_pages == 32  # pages still shipped out, later
+    # Pages still shipped out, later.
+    assert [(src, pages) for src, _, pages in shipped] == [(3, 32)]
     assert runtime.eligible_processors() == (0, 1, 2)
 
 

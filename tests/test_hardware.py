@@ -20,7 +20,7 @@ def test_cpu_consume_takes_expected_time():
     env.process(work())
     env.run()
     assert done == [pytest.approx(2.5 * MS)]
-    assert cpu.total_instructions == 50_000
+    assert cpu.resource.busy_time() == pytest.approx(2.5 * MS)
 
 
 def test_cpu_requests_are_serialised():
@@ -75,7 +75,7 @@ def test_cpu_zero_instructions_is_noop():
 
     env.process(work())
     env.run()
-    assert cpu.total_instructions == 0
+    assert cpu.resource.busy_time() == 0.0
 
 
 def test_cpu_windowed_utilization():
@@ -179,8 +179,8 @@ def test_sequential_read_uses_prefetching():
     env.run()
     # One physical I/O: 15 + 4*1 = 19 ms disk + 4 * 1.4 ms controller.
     assert done == [pytest.approx(19 * MS + 4 * 1.4 * MS)]
-    assert disks.physical_ios == 1
-    assert disks.pages_read == 4
+    assert disks.disks[0].busy_time() == pytest.approx(19 * MS)
+    assert disks.controller.busy_time() == pytest.approx(4 * 1.4 * MS)
 
 
 def test_sequential_read_splits_into_prefetch_chunks():
@@ -192,7 +192,11 @@ def test_sequential_read_splits_into_prefetch_chunks():
 
     env.process(io())
     env.run()
-    assert disks.physical_ios == 3  # 4 + 4 + 2 pages
+    # Three physical I/Os of 4 + 4 + 2 pages, each paying the access time.
+    config = disks.config
+    assert disks.disks[0].busy_time() == pytest.approx(
+        2 * config.sequential_io_time(4) + config.sequential_io_time(2)
+    )
 
 
 def test_random_read_cache_hit_skips_disk():
@@ -211,7 +215,8 @@ def test_random_read_cache_hit_skips_disk():
     first_duration = times[0]
     second_duration = times[1] - times[0]
     assert second_duration < first_duration
-    assert disks.physical_ios == 1
+    # Only the miss reached the disk.
+    assert disks.disks[0].busy_time() == pytest.approx(disks.config.random_io_time())
 
 
 def test_disk_array_balances_across_disks():
@@ -241,7 +246,7 @@ def test_disk_utilization_accounting():
     env.process(io())
     env.run(until=0.1)
     assert 0.0 < disks.utilization_since(snapshot, disks.snapshot()) < 1.0
-    assert disks.pages_written == 4
+    assert disks.disks[0].busy_time() == pytest.approx(disks.config.sequential_io_time(4))
 
 
 def test_zero_page_requests_are_noops():
@@ -255,7 +260,8 @@ def test_zero_page_requests_are_noops():
 
     env.process(io())
     env.run()
-    assert disks.physical_ios == 0
+    assert disks.disks[0].busy_time() == 0.0
+    assert disks.controller.busy_time() == 0.0
 
 
 # -- Network -----------------------------------------------------------------------
@@ -289,10 +295,9 @@ def test_network_transfer_advances_time_and_counts():
 
     env.process(xfer())
     env.run()
-    assert done[0] > 0
-    assert net.messages_sent == 1
-    assert net.packets_sent == 3
-    assert net.bytes_sent == 20_000
+    # 20 000 B travel as 3 packets: three wire latencies plus the bytes.
+    config = NetworkConfig()
+    assert done == [pytest.approx(3 * config.wire_latency + 20_000 / config.bandwidth_bytes_per_s)]
 
 
 def test_single_rack_network_does_not_walk_destinations():
@@ -303,18 +308,3 @@ def test_single_rack_network_does_not_walk_destinations():
     net = Network(Environment(), NetworkConfig(), InstructionCosts())
     expected = NetworkConfig().transfer_time(4096)
     assert net.transfer_time(4096, src=0, dst=Unwalkable()) == expected
-
-
-def test_network_contention_mode_serialises_when_saturated():
-    env = Environment()
-    net = Network(env, NetworkConfig(), InstructionCosts(), model_contention=True, link_capacity=1)
-    done = []
-
-    def xfer(name):
-        yield from net.transfer(8_192)
-        done.append((name, env.now))
-
-    env.process(xfer("a"))
-    env.process(xfer("b"))
-    env.run()
-    assert done[1][1] == pytest.approx(2 * done[0][1])

@@ -34,11 +34,18 @@ def test_exclusive_lock_blocks_and_is_granted_on_release():
         yield env.timeout(hold)
         locks.release_all(txn)
 
+    waiting = []
+
+    def probe():
+        yield env.timeout(5)
+        waiting.append(locks.waiting_count())
+
     env.process(writer(1, 0, 10))
     env.process(writer(2, 1, 1))
+    env.process(probe())
     env.run()
     assert done == [(1, 0), (2, 10)]
-    assert locks.waited == 1
+    assert waiting == [1]
 
 
 def test_lock_upgrade_same_transaction():
@@ -182,9 +189,11 @@ def test_end_to_end_deadlock_resolution():
     committed = []
     aborted = []
     locks = LockManager(env)
+    found = []
 
     def abort(txn_id):
-        return locks.abort_waiter(txn_id)
+        found.append(locks.abort_waiter(txn_id))
+        return found[-1]
 
     detector = DeadlockDetector(env, detection_interval=1.0, abort_callback=abort)
     locks.deadlock_detector = detector
@@ -206,13 +215,21 @@ def test_end_to_end_deadlock_resolution():
     env.run(until=20)
     assert aborted == [2]
     assert committed == [1]
-    assert locks.aborts == 1
+    assert found == [True]  # one waiter aborted, found waiting here
 
 
 def test_periodic_detection_runs_without_cycles():
     env = Environment()
     detector = DeadlockDetector(env, detection_interval=0.5)
+    sweeps = []
+    detect = detector.detect_and_resolve
+
+    def recorded():
+        sweeps.append(detect())
+        return sweeps[-1]
+
+    detector.detect_and_resolve = recorded
     detector.start()
     detector.start()  # idempotent
     env.run(until=3)
-    assert detector.victims == []
+    assert sweeps == [[]] * 6  # one empty sweep per 0.5 s, not two

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.engine import CommitStatistics, ProcessingElement, TransactionManager, run_commit
+from repro.engine import ProcessingElement, TransactionManager, run_commit
 from repro.hardware import Network
 from repro.sim import Environment
 
@@ -78,38 +78,35 @@ def build_pes(count, num_pe=4):
     return env, config, pes, network
 
 
-def test_read_only_commit_uses_single_round():
+def test_read_only_commit_uses_single_round(record_calls):
     env, config, pes, network = build_pes(3)
-    stats = CommitStatistics()
+    sent = record_calls(network, "transfer")
     finished = []
 
     def proc():
-        yield from run_commit(pes[0], pes[1:], network, statistics=stats)
+        yield from run_commit(pes[0], pes[1:], network)
         finished.append(env.now)
 
     env.process(proc())
     env.run()
-    assert stats.commits == 1
-    assert stats.messages == 4  # 2 participants x 2 messages
+    assert sent == [(256,)] * 4  # 2 participants x 2 messages
     assert finished[0] > 0
     # No log writes for read-only commits.
-    assert all(pe.disks.pages_written == 0 for pe in pes)
+    assert all(disk.busy_time() == 0.0 for pe in pes for disk in pe.disks.disks)
 
 
-def test_local_readonly_commit_is_free_of_messages():
+def test_local_readonly_commit_is_free_of_messages(record_calls):
     env, config, pes, network = build_pes(1)
-    stats = CommitStatistics()
+    sent = record_calls(network, "transfer")
 
     def proc():
-        yield from run_commit(pes[0], [pes[0]], network, statistics=stats)
+        yield from run_commit(pes[0], [pes[0]], network)
         finished.append(env.now)
 
     finished = []
     env.process(proc())
     env.run()
-    assert network.messages_sent == 0
-    assert stats.commits == 1
-    assert stats.messages == 0
+    assert sent == []
     # No remote participant: the commit returns at once and uses no CPU.
     assert finished == [0.0]
     assert pes[0].cpu.resource.busy_time() == 0.0

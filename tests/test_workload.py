@@ -7,6 +7,7 @@ from repro.config import InstructionCosts, OltpConfig, SystemConfig
 from repro.sim import Environment
 from repro.workload import (
     AffinityRouter,
+    DeterministicArrivals,
     JoinQuery,
     OltpTransaction,
     RandomRouter,
@@ -96,14 +97,13 @@ def test_generator_produces_expected_count_for_deterministic_arrivals():
             name="join",
             factory=JoinQuery,
             arrival_rate=10.0,
-            deterministic=True,
+            arrival=DeterministicArrivals(10.0),
         )
     )
     generator = WorkloadGenerator(env, spec, produced.append)
     generator.start()
     env.run(until=1.0)
     assert len(produced) == 10
-    assert generator.generated["join"] == 10
     assert all(isinstance(txn, JoinQuery) for txn in produced)
     assert produced[0].arrival_time == pytest.approx(0.1)
 
@@ -172,7 +172,6 @@ def test_trace_replayer_submits_all_records():
     replayer.start()
     env.run()
     assert len(received) == len(trace)
-    assert replayer.replayed == len(trace)
     assert all(txn.arrival_time > 0 for txn in received)
 
 
@@ -193,7 +192,11 @@ def test_trace_replayer_unknown_class_raises():
 @given(rate=st.floats(min_value=0.5, max_value=50.0), duration=st.floats(min_value=1.0, max_value=20.0))
 def test_trace_length_close_to_expectation(rate, duration):
     spec = WorkloadSpec(seed=5)
-    spec.add(WorkloadClass(name="c", factory=JoinQuery, arrival_rate=rate, deterministic=True))
+    spec.add(
+        WorkloadClass(
+            name="c", factory=JoinQuery, arrival_rate=rate, arrival=DeterministicArrivals(rate)
+        )
+    )
     trace = generate_trace(spec, duration=duration)
     # Floating-point accumulation may shift the last arrival across the
     # duration boundary, so allow an off-by-one.

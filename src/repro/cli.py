@@ -45,6 +45,7 @@ a restarted coordinator (even after ``kill -9``) picks up where it stopped.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -491,6 +492,8 @@ def _experiment_spec(args: argparse.Namespace) -> ScenarioSpec:
         options["--sizes"] = ("degrees" if figure1 else "system_sizes", args.sizes)
     try:
         return build_scenario(args.figure, **dict(options.values()))
+    except ValueError as exc:
+        raise SystemExit(f"invalid scenario: {exc}") from None
     except TypeError as exc:
         rejected = [flag for flag, (name, _) in options.items() if f"'{name}'" in str(exc)]
         if not rejected:
@@ -645,9 +648,12 @@ def _parse_float_pair(text: str, flag: str) -> tuple:
     if not sep or not name:
         raise SystemExit(f"invalid {flag} {text!r} (expected NAME=VALUE)")
     try:
-        return (name, float(raw))
+        value = float(raw)
     except ValueError:
         raise SystemExit(f"invalid {flag} value {raw!r} (expected a number)") from None
+    if not math.isfinite(value):
+        raise SystemExit(f"invalid {flag} value {raw!r} (expected a finite number)")
+    return (name, value)
 
 
 def _parse_arrival_param(text: str) -> tuple:

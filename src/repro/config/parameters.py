@@ -122,10 +122,6 @@ class BufferConfig:
     page_size_bytes: int = 8_192  # 8 KB pages
     buffer_pages: int = 50  # 0.4 MB per PE (deliberately small, see §5.1)
 
-    @property
-    def buffer_bytes(self) -> int:
-        return self.page_size_bytes * self.buffer_pages
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -167,10 +163,6 @@ class RelationConfig:
     def pages(self) -> int:
         """Number of data pages of the relation."""
         return math.ceil(self.num_tuples / self.blocking_factor)
-
-    @property
-    def size_bytes(self) -> int:
-        return self.num_tuples * self.tuple_size_bytes
 
     def pages_for_tuples(self, tuples: int) -> int:
         """Pages occupied by ``tuples`` tuples (clustered storage)."""
@@ -325,13 +317,6 @@ class TopologyConfig:
             and self.cross_region_bandwidth_factor == 1.0
         )
 
-    @property
-    def tiers(self) -> int:
-        """Number of distinct communication tiers (1, 2, or 3)."""
-        if self.racks <= 1:
-            return 1
-        return 3 if self.regions > 1 else 2
-
     def rack_of(self, pe_id: int, num_pe: int) -> int:
         """Rack index of ``pe_id`` (contiguous blocks of PEs per rack)."""
         if num_pe <= 0:
@@ -463,14 +448,6 @@ class SystemConfig:
         return tuple(range(self.a_node_count, self.a_node_count + self.b_node_count))
 
     # -- heterogeneous hardware ------------------------------------------
-    @property
-    def heterogeneous(self) -> bool:
-        """True when at least one PE runs non-default hardware."""
-        return any(
-            not node_class.is_default_hardware and end > start
-            for start, end, node_class in self._class_blocks
-        )
-
     def node_class_of(self, pe_id: int) -> Optional[NodeClass]:
         """The :class:`NodeClass` covering ``pe_id`` (None = default hardware)."""
         for start, end, node_class in self._class_blocks:

@@ -37,15 +37,10 @@ def split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if index < remainder else 0) for index in range(parts)]
 
 
-def decluster(
-    config: RelationConfig,
-    pe_ids: Sequence[int],
-    disks_per_pe: int = 1,
-) -> Relation:
+def decluster(config: RelationConfig, pe_ids: Sequence[int]) -> Relation:
     """Horizontally decluster a relation across the given PEs.
 
-    Tuples are divided as evenly as possible; each fragment is assigned all
-    the PE's disks round-robin (the disk subsystem stripes fragment pages).
+    Tuples are divided as evenly as possible, one fragment per PE.
     """
     if not pe_ids:
         raise ValueError(f"relation {config.name} needs at least one PE")
@@ -54,7 +49,6 @@ def decluster(
         index=BTreeIndex(relation_name=config.name, num_entries=config.num_tuples),
     )
     shares = split_evenly(config.num_tuples, len(pe_ids))
-    disk_ids = tuple(range(max(1, disks_per_pe)))
     for pe_id, share in zip(pe_ids, shares):
         relation.add_fragment(
             Fragment(
@@ -62,7 +56,6 @@ def decluster(
                 pe_id=pe_id,
                 num_tuples=share,
                 blocking_factor=config.blocking_factor,
-                disk_ids=disk_ids,
             )
         )
     return relation
@@ -161,12 +154,8 @@ def allocate_paper_database(config: SystemConfig) -> dict[str, Relation]:
     to their node (affinity-based routing accesses only local data).
     """
     relations: dict[str, Relation] = {}
-    relations["A"] = decluster(
-        config.relation_a, config.a_node_ids, config.disk.disks_per_pe
-    )
-    relations["B"] = decluster(
-        config.relation_b, config.b_node_ids, config.disk.disks_per_pe
-    )
+    relations["A"] = decluster(config.relation_a, config.a_node_ids)
+    relations["B"] = decluster(config.relation_b, config.b_node_ids)
     if config.oltp is not None:
         oltp_nodes = (
             config.a_node_ids if config.oltp.placement.upper() == "A" else config.b_node_ids
@@ -180,7 +169,7 @@ def allocate_paper_database(config: SystemConfig) -> dict[str, Relation]:
             blocking_factor=80,
             declustering_fraction=len(oltp_nodes) / config.num_pe,
         )
-        relations["ACCT"] = decluster(account, oltp_nodes, config.disk.disks_per_pe)
+        relations["ACCT"] = decluster(account, oltp_nodes)
     if config.replication is not None:
         for relation in relations.values():
             assign_replicas(relation, config.replication)

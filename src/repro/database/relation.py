@@ -26,7 +26,6 @@ class Fragment:
     pe_id: int
     num_tuples: int
     blocking_factor: int
-    disk_ids: tuple[int, ...] = ()
 
     @property
     def pages(self) -> int:

@@ -81,21 +81,6 @@ class BufferManager:
     def used_pages(self) -> int:
         return self.total_pages - self._free_pages
 
-    @property
-    def oltp_pages(self) -> int:
-        """Pages pinned by the OLTP buffer footprint."""
-        return self._oltp_pages
-
-    @property
-    def working_space_pages(self) -> int:
-        """Pages currently held by query working spaces."""
-        return sum(ws.pages for ws in self._working_spaces if not ws.released)
-
-    @property
-    def memory_queue_length(self) -> int:
-        """Number of joins waiting in the FCFS memory queue."""
-        return len(self._memory_queue)
-
     def utilization(self) -> float:
         """Current fraction of the buffer in use."""
         return self.used_pages / self.total_pages

@@ -50,10 +50,6 @@ class DeadlockDetector:
         for targets in self._waits_for.values():
             targets.discard(txn_id)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(targets) for targets in self._waits_for.values())
-
     # -- detection ---------------------------------------------------------------
     def find_cycle(self) -> Optional[List[int]]:
         """Return one cycle in the waits-for graph, or None."""

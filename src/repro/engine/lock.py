@@ -24,12 +24,6 @@ class LockMode(str, Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
-    def compatible_with(self, other: "LockMode") -> bool:
-        # Canonical compatibility matrix (only S/S is compatible).  The hot
-        # paths in LockManager._grantable and LockManager._wake_waiters
-        # inline this predicate -- keep them in sync when changing it.
-        return self is LockMode.SHARED and other is LockMode.SHARED
-
 
 class DeadlockAbort(Exception):
     """Raised in a waiting transaction chosen as a deadlock victim."""
@@ -50,6 +44,23 @@ class _LockRequest:
 class _LockEntry:
     holders: Dict[int, LockMode] = field(default_factory=dict)
     waiters: Deque[_LockRequest] = field(default_factory=deque)
+
+
+def _compatible(entry: _LockEntry, txn_id: int, mode: LockMode) -> bool:
+    """Whether ``txn_id`` may hold ``mode`` beside the entry's other holders.
+
+    Only shared/shared is compatible.  Every OLTP tuple access takes a lock,
+    so this is a hot path.
+    """
+    if mode is LockMode.SHARED:
+        for holder, held_mode in entry.holders.items():
+            if holder != txn_id and held_mode is not LockMode.SHARED:
+                return False
+        return True
+    for holder in entry.holders:
+        if holder != txn_id:
+            return False
+    return True
 
 
 class LockManager:
@@ -81,7 +92,8 @@ class LockManager:
             # Already held in a sufficient mode.
             event.succeed(mode)
             return event
-        if self._grantable(entry, txn_id, mode):
+        if not entry.waiters and _compatible(entry, txn_id, mode):
+            # FIFO fairness: nobody jumps the queue.
             self._grant(entry, txn_id, resource, mode)
             event.succeed(mode)
             return event
@@ -93,23 +105,6 @@ class LockManager:
                 if holder != txn_id:
                     self.deadlock_detector.add_wait(txn_id, holder)
         return event
-
-    def _grantable(self, entry: _LockEntry, txn_id: int, mode: LockMode) -> bool:
-        if entry.waiters:
-            # FIFO fairness: nobody jumps the queue.
-            return False
-        # Inlined LockMode.compatible_with (only S/S is compatible): every
-        # OLTP tuple access takes a lock, so this is a hot path.  Keep in
-        # sync with the enum method.
-        if mode is LockMode.SHARED:
-            for holder, held_mode in entry.holders.items():
-                if holder != txn_id and held_mode is not LockMode.SHARED:
-                    return False
-            return True
-        for holder in entry.holders:
-            if holder != txn_id:
-                return False
-        return True
 
     def _grant(self, entry: _LockEntry, txn_id: int, resource: object, mode: LockMode) -> None:
         current = entry.holders.get(txn_id)
@@ -135,15 +130,7 @@ class LockManager:
     def _wake_waiters(self, resource: object, entry: _LockEntry) -> None:
         while entry.waiters:
             request = entry.waiters[0]
-            req_txn = request.txn_id
-            # Inlined LockMode.compatible_with -- keep in sync with the enum.
-            shared = request.mode is LockMode.SHARED
-            compatible = True
-            for holder, mode in entry.holders.items():
-                if holder != req_txn and not (shared and mode is LockMode.SHARED):
-                    compatible = False
-                    break
-            if not compatible:
+            if not _compatible(entry, request.txn_id, request.mode):
                 return
             entry.waiters.popleft()
             self._grant(entry, request.txn_id, resource, request.mode)
@@ -197,14 +184,3 @@ class LockManager:
                 if not entry.holders and not entry.waiters:
                     self._table.pop(resource, None)
         self.release_all(txn_id)
-
-    # -- inspection --------------------------------------------------------------------
-    def holds(self, txn_id: int, resource: object) -> bool:
-        entry = self._table.get(resource)
-        return entry is not None and txn_id in entry.holders
-
-    def waiting_count(self) -> int:
-        return sum(len(entry.waiters) for entry in self._table.values())
-
-    def held_count(self) -> int:
-        return sum(len(entry.holders) for entry in self._table.values())

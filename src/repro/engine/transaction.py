@@ -8,7 +8,10 @@ transactions wait in an input queue when the limit is reached (paper §4).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.sim import Environment, Resource
+from repro.sim.resources import Request
 
 __all__ = ["TransactionManager"]
 
@@ -20,39 +23,37 @@ class TransactionManager:
         if multiprogramming_level < 1:
             raise ValueError("multiprogramming level must be >= 1")
         self._slots = Resource(env, capacity=multiprogramming_level, name=f"mpl[{pe_id}]")
+        #: Slot request of every transaction holding or waiting for a slot.
+        self._requests: Dict[int, Request] = {}
 
     # -- admission ------------------------------------------------------------
-    def admit(self):
-        """Simulation step: wait for a free MPL slot.
+    def admit(self, txn_id: int):
+        """Simulation step: wait for a free MPL slot for ``txn_id``.
 
-        Returns the slot request which must be passed to :meth:`finish`.
         Usage::
 
-            slot = yield from txn_manager.admit()
+            yield from txn_manager.admit(txn_id)
             ...
-            txn_manager.finish(slot)
-        """
-        request = self._slots.request()
-        try:
-            yield request
-        except BaseException:
-            # Aborted (killed / deadlock-failed) while waiting for or holding
-            # an unconsumed slot: give it back so the MPL slot cannot leak.
-            self._slots.release(request)
-            raise
-        return request
+            txn_manager.finish(txn_id)
 
-    def finish(self, slot_request) -> None:
+        A transaction killed before :meth:`finish` gets its slot (or its
+        place in the input queue) back through :meth:`purge_txn`.
+        """
+        request = self._requests[txn_id] = self._slots.request()
+        yield request
+
+    def finish(self, txn_id: int) -> None:
         """Release the MPL slot at end of transaction."""
-        self._slots.release(slot_request)
+        self._slots.release(self._requests.pop(txn_id))
+
+    def purge_txn(self, txn_id: int) -> None:
+        """Release or cancel a killed transaction's slot request, if any."""
+        request = self._requests.pop(txn_id, None)
+        if request is not None:
+            self._slots.release(request)
 
     # -- inspection -------------------------------------------------------------
     @property
     def active_count(self) -> int:
         """Transactions currently holding an MPL slot on this PE."""
         return self._slots.count
-
-    @property
-    def input_queue_length(self) -> int:
-        """Transactions waiting for admission."""
-        return self._slots.queue_length

@@ -8,7 +8,7 @@ from repro.execution.operators import (
     redistribution_packets,
     scan_fragment,
 )
-from repro.execution.parallel_join import JoinExecutionResult, execute_join_query
+from repro.execution.parallel_join import execute_join_query
 from repro.execution.pphj import JoinProcessorShare, PPHJExecutor
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "plan_scan",
     "redistribution_packets",
     "scan_fragment",
-    "JoinExecutionResult",
     "execute_join_query",
     "JoinProcessorShare",
     "PPHJExecutor",

@@ -11,13 +11,13 @@ PPHJ adaptation).
 from __future__ import annotations
 
 import random
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.config.parameters import InstructionCosts, OltpConfig
+from repro.config.parameters import InstructionCosts
 from repro.engine.lock import LockMode
 from repro.hardware.cpu import PRIORITY_OLTP
 from repro.workload.query import OltpTransaction
-from repro.workload.tpcb import OltpCostProfile, build_cost_profile
+from repro.workload.tpcb import OltpCostProfile
 
 __all__ = ["execute_oltp_transaction"]
 
@@ -25,25 +25,18 @@ __all__ = ["execute_oltp_transaction"]
 def execute_oltp_transaction(
     system,
     transaction: OltpTransaction,
-    profile: Optional[OltpCostProfile] = None,
-    rng: Optional[random.Random] = None,
+    profile: OltpCostProfile,
+    rng: random.Random,
 ) -> Generator:
     """Simulation process executing one OLTP transaction on its home PE."""
-    env = system.env
     config = system.config
     costs: InstructionCosts = config.costs
-    oltp_config: OltpConfig = config.oltp or OltpConfig()
-    if profile is None:
-        profile = build_cost_profile(oltp_config, costs)
-    if rng is None:
-        rng = random.Random(transaction.txn_id)
-
-    pe = system.pes[transaction.home_pe if transaction.home_pe is not None else transaction.coordinator_pe]
+    pe = system.pes[transaction.home_pe]
 
     # Maintain the OLTP buffer footprint on this node (steals from joins if
     # necessary -- a running PPHJ join then spools the partitions it can no
     # longer keep resident).
-    pe.buffer.ensure_oltp_footprint(oltp_config.working_set_pages)
+    pe.buffer.ensure_oltp_footprint(profile.working_set_pages)
 
     # BOT.
     yield from pe.cpu.consume(costs.initiate_transaction, priority=PRIORITY_OLTP)
@@ -51,11 +44,9 @@ def execute_oltp_transaction(
     # Acquire exclusive locks on the accessed tuples (page-granularity ids on
     # the node-local account relation; disjoint from A and B so no conflicts
     # with join queries).
-    locked = []
     for access in range(transaction.tuple_accesses):
         resource = ("ACCT", pe.pe_id, rng.randrange(10_000))
         yield pe.locks.acquire(transaction.txn_id, resource, LockMode.EXCLUSIVE)
-        locked.append(resource)
 
     # CPU for index traversals, tuple reads and updates (aggregated).
     yield from pe.cpu.consume(profile.cpu_instructions, priority=PRIORITY_OLTP)
@@ -92,6 +83,3 @@ def execute_oltp_transaction(
 
     yield from pe.cpu.consume(costs.terminate_transaction, priority=PRIORITY_OLTP)
     pe.locks.release_all(transaction.txn_id)
-
-    transaction.completion_time = env.now
-    return transaction

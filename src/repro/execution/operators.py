@@ -29,7 +29,6 @@ __all__ = ["ScanWork", "scan_fragment", "redistribution_packets", "parop_merge_i
 class ScanWork:
     """Static work profile of one scan subquery on one fragment."""
 
-    fragment: Fragment
     matching_tuples: int
     data_pages: int
     index_pages: int
@@ -69,7 +68,6 @@ def plan_scan(
             math.ceil(matching / fragment.blocking_factor) if matching > 0 else 0
         )
     return ScanWork(
-        fragment=fragment,
         matching_tuples=matching,
         data_pages=data_pages,
         index_pages=index_pages,

@@ -16,7 +16,6 @@ runs the distributed commit with the read-only optimisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List
 
 from repro.config.parameters import InstructionCosts
@@ -29,17 +28,7 @@ from repro.hardware.cpu import PRIORITY_QUERY
 from repro.scheduling.strategy import JoinPlan
 from repro.workload.query import JoinQuery
 
-__all__ = ["JoinExecutionResult", "execute_join_query"]
-
-
-@dataclass
-class JoinExecutionResult:
-    """Per-query execution statistics recorded by the coordinator."""
-
-    query: JoinQuery
-    plan: JoinPlan
-    memory_wait_time: float = 0.0
-    overflow_pages: int = 0
+__all__ = ["execute_join_query"]
 
 
 def _scan_sites(system, relation):
@@ -69,7 +58,8 @@ def execute_join_query(
 
     ``system`` is a :class:`~repro.simulation.system.ParallelSystem`-like
     object exposing ``env``, ``pes``, ``network``, ``catalog`` and
-    ``config``.  Returns a :class:`JoinExecutionResult`.
+    ``config``.  At the end it sets the query's ``overflow_pages`` and
+    ``memory_wait_time``.
     """
     env = system.env
     config = system.config
@@ -80,8 +70,6 @@ def execute_join_query(
     inner = system.catalog.relation(query.inner_relation)
     outer = system.catalog.relation(query.outer_relation)
     join_pes = [system.pes[pe_id] for pe_id in plan.processors]
-
-    result = JoinExecutionResult(query=query, plan=plan)
 
     # -- BOT at the coordinator.
     yield from coordinator.cpu.consume(costs.initiate_transaction, priority=priority)
@@ -210,14 +198,7 @@ def execute_join_query(
     # -- EOT.
     yield from coordinator.cpu.consume(costs.terminate_transaction, priority=priority)
 
-    query.completion_time = env.now
-    query.chosen_degree = plan.degree
-    query.chosen_processors = plan.processors
     query.overflow_pages = sum(executor.overflow_pages for executor in executors)
     query.memory_wait_time = max(
         (executor.memory_wait_time for executor in executors), default=0.0
     )
-
-    result.memory_wait_time = query.memory_wait_time
-    result.overflow_pages = query.overflow_pages
-    return result

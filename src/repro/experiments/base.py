@@ -67,16 +67,17 @@ def default_measured_joins(fallback: int = 40) -> int:
 def default_time_limit(fallback: float = 120.0) -> float:
     """Simulated-time cap per point in seconds (env-overridable).
 
-    Unreadable or non-positive ``REPRO_BENCH_TIME_LIMIT`` values fall back
-    to ``fallback``, which callers must keep positive.
+    ``REPRO_BENCH_TIME_LIMIT`` values that are unreadable, not finite or not
+    positive fall back to ``fallback``, which callers must keep positive
+    and finite.
     """
-    if fallback <= 0:
-        raise ValueError(f"fallback time limit must be positive, got {fallback}")
+    if not (math.isfinite(fallback) and fallback > 0):
+        raise ValueError(f"fallback time limit must be positive and finite, got {fallback}")
     try:
         value = float(os.environ.get("REPRO_BENCH_TIME_LIMIT", fallback))
     except ValueError:
         value = float(fallback)
-    return value if value > 0 else float(fallback)
+    return value if math.isfinite(value) and value > 0 else float(fallback)
 
 
 @dataclass

@@ -469,6 +469,10 @@ class FaultRuntime:
         for process in reversed(list(record.group)):
             process.kill()
         txn_id = record.txn.txn_id
+        # The MPL slot first, then the locks and pages: grants made at this
+        # instant are scheduled in that order.
+        for pe in self.system.pes:
+            pe.transactions.purge_txn(txn_id)
         owner = f"join-{txn_id}"
         for pe in self.system.pes:
             pe.locks.purge_txn(txn_id)

@@ -1,11 +1,6 @@
 """Hardware models: CPU servers, disk arrays with caching, interconnect."""
 
-from repro.hardware.cpu import (
-    PRIORITY_BACKGROUND,
-    PRIORITY_OLTP,
-    PRIORITY_QUERY,
-    CpuServer,
-)
+from repro.hardware.cpu import PRIORITY_OLTP, PRIORITY_QUERY, CpuServer
 from repro.hardware.disk import DiskArray, LruCache
 from repro.hardware.network import Network
 
@@ -13,7 +8,6 @@ __all__ = [
     "CpuServer",
     "PRIORITY_OLTP",
     "PRIORITY_QUERY",
-    "PRIORITY_BACKGROUND",
     "DiskArray",
     "LruCache",
     "Network",

@@ -39,12 +39,11 @@ from typing import Generator
 from repro.config.parameters import CpuConfig, InstructionCosts
 from repro.sim import BatchRun, Environment, PriorityResource, Timeout, coalescing_enabled
 
-__all__ = ["CpuServer", "PRIORITY_OLTP", "PRIORITY_QUERY", "PRIORITY_BACKGROUND"]
+__all__ = ["CpuServer", "PRIORITY_OLTP", "PRIORITY_QUERY"]
 
 #: Priority levels: lower value is served first.
 PRIORITY_OLTP = 0
 PRIORITY_QUERY = 5
-PRIORITY_BACKGROUND = 9
 
 _logger = logging.getLogger(__name__)
 

@@ -95,11 +95,6 @@ class Timeline:
         """The values of one window field, in time order."""
         return [getattr(window, metric) for window in self.windows]
 
-    def peak(self, metric: str) -> float:
-        """Largest value of one window field (0.0 for an empty timeline)."""
-        values = self.series(metric)
-        return max(values) if values else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 

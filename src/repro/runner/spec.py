@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -292,6 +293,16 @@ class Sweep:
             raise ValueError(f"sweep kind {self.kind!r} requires strategies")
         if not self.system_sizes:
             raise ValueError("a sweep needs at least one system size")
+        for name, counts in (("system sizes", self.system_sizes), ("degrees", self.degrees)):
+            for count in counts:
+                if count < 1:
+                    raise ValueError(f"{name} must be >= 1, got {count}")
+        for rate in self.rates:
+            if rate is not None and not 0 < rate < math.inf:
+                raise ValueError(f"rates must be positive and finite, got {rate}")
+        for selectivity in self.selectivities:
+            if selectivity is not None and not 0.0 <= selectivity <= 1.0:
+                raise ValueError(f"selectivities must lie in [0, 1], got {selectivity}")
         if self.x_axis == "rate" and any(rate is None for rate in self.rates):
             raise ValueError("x_axis='rate' requires explicit rates")
         if self.x_axis == "selectivity_pct" and any(s is None for s in self.selectivities):
@@ -332,7 +343,7 @@ class Sweep:
         if self.timeline_window is not None:
             if self.kind != "timeline":
                 raise ValueError("timeline_window only applies to timeline sweeps")
-            if self.timeline_window <= 0:
+            if not self.timeline_window > 0:
                 raise ValueError(
                     f"timeline_window must be positive, got {self.timeline_window}"
                 )
@@ -541,12 +552,13 @@ def expand(spec: ScenarioSpec) -> Tuple[PointSpec, ...]:
     limit = (
         spec.max_simulated_time if spec.max_simulated_time is not None else default_time_limit()
     )
-    if limit <= 0 and any(sweep.kind == "timeline" for sweep in spec.sweeps):
-        # Timeline points run for exactly ``limit`` seconds; failing here
-        # beats a PointExecutionError from inside a worker process.
+    # Bad run limits fail here, before any point runs: a point would print
+    # a row of zeros or raise a PointExecutionError inside a worker.
+    if spec.sweeps and measured < 1:
+        raise ValueError(f"a scenario needs a measured join, got measured_joins={measured}")
+    if spec.sweeps and not 0 < limit < math.inf:
         raise ValueError(
-            "timeline sweeps need a positive run duration, got "
-            f"max_simulated_time={limit}"
+            f"a scenario needs a positive run duration, got max_simulated_time={limit}"
         )
     points: List[PointSpec] = []
     for sweep in spec.sweeps:

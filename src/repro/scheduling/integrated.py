@@ -27,7 +27,7 @@ __all__ = ["MinIOStrategy", "MinIOSuOptStrategy", "OptIOCpuStrategy"]
 
 def _avail_memory(context: SchedulingContext) -> List[NodeStatus]:
     """AVAIL-MEMORY restricted to the eligible processors."""
-    eligible = set(context.eligible)
+    eligible = set(context.eligible_processors)
     return [status for status in context.control.avail_memory() if status.pe_id in eligible]
 
 
@@ -79,22 +79,15 @@ def _min_overflow_degree(
 
 
 def _build_plan(
-    avail: Sequence[NodeStatus],
-    degree: int,
-    needed_pages: int,
-    context: SchedulingContext,
-    name: str,
+    avail: Sequence[NodeStatus], degree: int, needed_pages: int, context: SchedulingContext
 ) -> JoinPlan:
     chosen = [status.pe_id for status in avail[:degree]]
     pages_per_processor = max(1, math.ceil(needed_pages / degree))
-    overflow = _overflow_pages(avail, degree, needed_pages)
     context.control.note_join_assignment(chosen, pages_per_processor)
     return JoinPlan(
         degree=len(chosen),
         processors=tuple(sorted(chosen)),
         pages_per_processor=pages_per_processor,
-        expected_overflow_pages=overflow,
-        strategy_name=name,
     )
 
 
@@ -109,7 +102,7 @@ class MinIOStrategy(LoadBalancingStrategy):
         avail = _avail_memory(context)
         io_avoiding = _io_avoiding_degrees(avail, needed)
         degree = io_avoiding[0] if io_avoiding else _min_overflow_degree(avail, needed)
-        return _build_plan(avail, degree, needed, context, self.name)
+        return _build_plan(avail, degree, needed, context)
 
 
 class MinIOSuOptStrategy(LoadBalancingStrategy):
@@ -127,7 +120,7 @@ class MinIOSuOptStrategy(LoadBalancingStrategy):
             degree = min(io_avoiding, key=lambda k: (abs(k - target), k))
         else:
             degree = _min_overflow_degree(avail, needed, prefer_larger=True)
-        return _build_plan(avail, degree, needed, context, self.name)
+        return _build_plan(avail, degree, needed, context)
 
 
 class OptIOCpuStrategy(LoadBalancingStrategy):
@@ -157,4 +150,4 @@ class OptIOCpuStrategy(LoadBalancingStrategy):
             degree = _min_overflow_degree(
                 avail, needed, max_degree=max_degree, prefer_larger=True
             )
-        return _build_plan(avail, degree, needed, context, self.name)
+        return _build_plan(avail, degree, needed, context)

@@ -54,8 +54,6 @@ class JoinPlan:
     degree: int
     processors: tuple[int, ...]
     pages_per_processor: int  # expected working-space demand per join processor
-    expected_overflow_pages: int = 0
-    strategy_name: str = ""
 
     def __post_init__(self) -> None:
         if self.degree != len(self.processors):
@@ -70,18 +68,9 @@ class SchedulingContext:
 
     cost_model: CostModel
     control: ControlNode
-    eligible_processors: Optional[Sequence[int]] = None
-
-    @property
-    def num_pe(self) -> int:
-        return self.cost_model.config.num_pe
-
-    @property
-    def eligible(self) -> List[int]:
-        if self.eligible_processors is not None:
-            return list(self.eligible_processors)
-        # Any processor may act as join processor (paper §2, footnote 3).
-        return list(range(self.num_pe))
+    #: The PEs that may act as join processors: every live PE (paper §2,
+    #: footnote 3).
+    eligible_processors: Sequence[int]
 
 
 class LoadBalancingStrategy:
@@ -114,7 +103,7 @@ class IsolatedStrategy(LoadBalancingStrategy):
         self.name = self.label or f"{self.degree_policy.name}+{self.placement_policy.name}"
 
     def plan_join(self, query: JoinQuery, context: SchedulingContext) -> JoinPlan:
-        eligible = context.eligible
+        eligible = context.eligible_processors
         degree = self.degree_policy.degree(query, context.cost_model, context.control)
         degree = max(1, min(degree, len(eligible)))
         pages = self._pages_per_processor(query, context, degree)
@@ -125,7 +114,6 @@ class IsolatedStrategy(LoadBalancingStrategy):
             degree=len(processors),
             processors=tuple(processors),
             pages_per_processor=pages,
-            strategy_name=self.name,
         )
 
 

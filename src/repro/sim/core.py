@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Generator, Iterable, List, Optional
 
 __all__ = [
     "SimulationError",
@@ -147,34 +147,11 @@ class Event:
         return self._value is not PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once the callbacks have run."""
-        return self.callbacks is PROCESSED
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The value of the event (raises if still pending)."""
         if self._value is PENDING:
             raise SimulationError("value of untriggered event is not available")
         return self._value
-
-    # -- callback registration -------------------------------------------
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback`` to run at processing time.
-
-        Must not be called on an already processed event (check
-        :attr:`processed` first).
-        """
-        callbacks = self.callbacks
-        if callbacks is None:
-            self.callbacks = [callback]
-        else:
-            callbacks.append(callback)
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
@@ -265,15 +242,10 @@ class BatchTimeout(Event):
             eid = env._eid = env._eid + 1
             heappush(env._queue, (at, eid, self))
 
-    @property
-    def when(self) -> float:
-        """Absolute time this event is (currently) scheduled to fire."""
-        return self._when
-
     def split(self, at: float) -> None:
         """Reschedule the macro-event to an earlier absolute time ``at``.
 
-        ``at`` must lie in ``[now, when]``.  A fresh heap entry is pushed (the
+        ``at`` must lie in ``[now, end]``.  A fresh heap entry is pushed (the
         event id keeps same-time ordering consistent with an event scheduled
         at the preemption instant); the old entry becomes a stale duplicate.
         """
@@ -786,11 +758,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None outside callbacks)."""
-        return self._active_process
 
     # -- event creation --------------------------------------------------
     def event(self) -> Event:

@@ -289,11 +289,6 @@ class Container:
         self._getters: deque[tuple[Event, float]] = deque()
         self._putters: deque[tuple[Event, float]] = deque()
 
-    @property
-    def level(self) -> float:
-        """Currently available amount."""
-        return self._level
-
     def get(self, amount: float) -> Event:
         """Blocking request to remove ``amount`` from the container."""
         if amount < 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Union
 
-from repro.config.parameters import SystemConfig
+from repro.config.parameters import OltpConfig, SystemConfig
 from repro.database.catalog import Catalog
 from repro.engine.deadlock import DeadlockDetector
 from repro.engine.pe import ProcessingElement
@@ -84,9 +84,7 @@ class ParallelSystem:
             all_pe_ids=list(range(config.num_pe)),
             seed=config.seed + 2,
         )
-        self._oltp_profile = (
-            build_cost_profile(config.oltp, config.costs) if config.oltp is not None else None
-        )
+        self._oltp_profile = build_cost_profile(config.oltp or OltpConfig(), config.costs)
         self._oltp_rng = random.Random(config.seed + 3)
 
         # The driver's open-workload generator registers itself here so the
@@ -145,32 +143,30 @@ class ParallelSystem:
             eligible_processors=self.faults.eligible_processors(),
         )
 
+    # A killed transaction's MPL slot goes back through the fault runtime
+    # (``purge_txn``), like its locks and pages, and not through a finally
+    # block here: the transactions still running when a run ends are closed
+    # by the garbage collector later, and must not touch the ended run.
     def _run_join(self, query: JoinQuery):
         coordinator = self.pes[query.coordinator_pe]
-        slot = yield from coordinator.transactions.admit()
-        try:
-            plan = self.strategy.plan_join(query, self.scheduling_context())
-            self.faults.note_plan(query, plan.processors)
-            result = yield from execute_join_query(self, query, plan)
-            self.metrics.record_join(
-                response_time=self.env.now - query.arrival_time,
-                degree=plan.degree,
-                overflow_pages=result.overflow_pages,
-                memory_wait=result.memory_wait_time,
-            )
-        finally:
-            coordinator.transactions.finish(slot)
+        yield from coordinator.transactions.admit(query.txn_id)
+        plan = self.strategy.plan_join(query, self.scheduling_context())
+        self.faults.note_plan(query, plan.processors)
+        yield from execute_join_query(self, query, plan)
+        self.metrics.record_join(
+            response_time=self.env.now - query.arrival_time,
+            degree=plan.degree,
+            overflow_pages=query.overflow_pages,
+            memory_wait=query.memory_wait_time,
+        )
+        coordinator.transactions.finish(query.txn_id)
 
     def _run_oltp(self, transaction: OltpTransaction):
         home = self.pes[transaction.home_pe]
-        slot = yield from home.transactions.admit()
-        try:
-            yield from execute_oltp_transaction(
-                self, transaction, profile=self._oltp_profile, rng=self._oltp_rng
-            )
-            self.metrics.record_oltp(self.env.now - transaction.arrival_time)
-        finally:
-            home.transactions.finish(slot)
+        yield from home.transactions.admit(transaction.txn_id)
+        yield from execute_oltp_transaction(self, transaction, self._oltp_profile, self._oltp_rng)
+        self.metrics.record_oltp(self.env.now - transaction.arrival_time)
+        home.transactions.finish(transaction.txn_id)
 
     # -- convenience ---------------------------------------------------------------------------
     def average_cpu_utilization(self) -> float:

@@ -18,7 +18,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "repro.workload.generator": ("WorkloadClass", "WorkloadGenerator", "WorkloadSpec"),
     "repro.workload.query": ("JoinQuery", "OltpTransaction", "Transaction"),
-    "repro.workload.router": ("AffinityRouter", "RandomRouter", "Router"),
+    "repro.workload.router": ("AffinityRouter", "RandomRouter"),
     "repro.workload.tpcb": ("OltpCostProfile", "build_cost_profile"),
     "repro.workload.traces": ("Trace", "TraceRecord", "TraceReplayer", "generate_trace"),
 })

@@ -69,11 +69,6 @@ class ArrivalProcess:
     def reset(self) -> None:
         """Restart any modulating state (default: stateless, no-op)."""
 
-    @property
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate (arrivals per second)."""
-        raise NotImplementedError
-
 
 @dataclass
 class PoissonArrivals(ArrivalProcess):
@@ -89,10 +84,6 @@ class PoissonArrivals(ArrivalProcess):
     def rate(self, t: float) -> float:
         return max(0.0, self.arrival_rate)
 
-    @property
-    def mean_rate(self) -> float:
-        return max(0.0, self.arrival_rate)
-
 
 @dataclass
 class DeterministicArrivals(ArrivalProcess):
@@ -106,10 +97,6 @@ class DeterministicArrivals(ArrivalProcess):
         return 1.0 / self.arrival_rate
 
     def rate(self, t: float) -> float:
-        return max(0.0, self.arrival_rate)
-
-    @property
-    def mean_rate(self) -> float:
         return max(0.0, self.arrival_rate)
 
 
@@ -168,12 +155,6 @@ class SinusoidalArrivals(_ThinnedProcess):
     def peak_rate(self) -> float:
         return max(0.0, self.arrival_rate * (1.0 + self.amplitude))
 
-    @property
-    def mean_rate(self) -> float:
-        # The sine integrates to zero over full cycles (exact when the rate
-        # never clips at zero, i.e. amplitude <= 1).
-        return max(0.0, self.arrival_rate)
-
 
 @dataclass
 class StepArrivals(_ThinnedProcess):
@@ -202,10 +183,6 @@ class StepArrivals(_ThinnedProcess):
     @property
     def peak_rate(self) -> float:
         return max(0.0, self.arrival_rate) * max(1.0, self.surge_factor)
-
-    @property
-    def mean_rate(self) -> float:
-        return max(0.0, self.arrival_rate)
 
 
 @dataclass
@@ -262,11 +239,6 @@ class OnOffArrivals(ArrivalProcess):
     def rate(self, t: float) -> float:
         # The modulating state is stochastic; report the current state's rate.
         return self._current_rate()
-
-    @property
-    def mean_rate(self) -> float:
-        cycle = self.mean_on + self.mean_off
-        return (self.on_rate * self.mean_on + self.off_rate * self.mean_off) / cycle
 
 
 def _params_dict(params: Optional[Mapping[str, float] | Sequence[Tuple[str, float]]]) -> Dict[str, float]:

@@ -30,16 +30,6 @@ class Transaction:
     coordinator_pe: Optional[int] = None
     txn_id: int = field(default_factory=lambda: next(_transaction_ids))
 
-    # Filled in at completion time by the execution layer.
-    completion_time: Optional[float] = None
-
-    @property
-    def response_time(self) -> Optional[float]:
-        """Observed response time (None while still running)."""
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
-
 
 @dataclass
 class JoinQuery(Transaction):
@@ -57,9 +47,7 @@ class JoinQuery(Transaction):
     result_fraction_of_inner: float = 1.0
     fudge_factor: float = 1.05
 
-    # Decision recorded by the load balancing strategy, for analysis.
-    chosen_degree: Optional[int] = None
-    chosen_processors: tuple[int, ...] = ()
+    # Filled in at completion time by the execution layer.
     overflow_pages: int = 0
     memory_wait_time: float = 0.0
 

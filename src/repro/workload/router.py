@@ -9,18 +9,11 @@ run locally on the nodes owning their data (§5.3, [25]).
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.workload.query import OltpTransaction, Transaction
 
-__all__ = ["Router", "RandomRouter", "AffinityRouter"]
-
-
-class Router(Protocol):
-    """Strategy interface mapping a transaction to its coordinator PE."""
-
-    def route(self, transaction: Transaction) -> int:  # pragma: no cover - protocol
-        ...
+__all__ = ["RandomRouter", "AffinityRouter"]
 
 
 class RandomRouter:

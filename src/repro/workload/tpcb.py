@@ -26,6 +26,7 @@ class OltpCostProfile:
     page_reads: int  # logical page reads (index + data)
     buffer_hit_ratio: float  # fraction served without disk I/O
     log_writes: int  # synchronous log I/Os at commit
+    working_set_pages: int  # OLTP buffer footprint kept on the home PE
 
 
 def build_cost_profile(config: OltpConfig, costs: InstructionCosts) -> OltpCostProfile:
@@ -58,4 +59,5 @@ def build_cost_profile(config: OltpConfig, costs: InstructionCosts) -> OltpCostP
         page_reads=page_reads,
         buffer_hit_ratio=config.buffer_hit_ratio,
         log_writes=config.log_io_per_commit,
+        working_set_pages=config.working_set_pages,
     )

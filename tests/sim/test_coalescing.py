@@ -42,7 +42,7 @@ def test_batch_timeout_defer_skips_initial_push():
     env = Environment()
     deferred = BatchTimeout(env, 5.0, defer=True)
     assert env._queue == []
-    assert deferred.when == 5.0
+    assert deferred._when == 5.0
     # A non-deferred one is scheduled immediately.
     BatchTimeout(env, 3.0)
     assert len(env._queue) == 1
@@ -52,7 +52,7 @@ def test_batch_timeout_split_fires_once_at_split_time():
     env = Environment()
     fired = []
     event = BatchTimeout(env, 10.0)
-    event.add_callback(lambda ev: fired.append(env.now))
+    event.callbacks = [lambda ev: fired.append(env.now)]
     event.split(4.0)
     env.run()
     # Fires at the split time; the stale entry at 10.0 is skipped silently.
@@ -76,7 +76,7 @@ def test_batch_walk_jumps_quiet_stretch_in_one_hop():
     env = Environment()
     done = []
     walk = BatchWalk(env, [1.0, 2.0, 3.0], 4.0)
-    walk.event.add_callback(lambda ev: done.append(env.now))
+    walk.event.callbacks = [lambda ev: done.append(env.now)]
     env.run()
     assert done == [4.0]
     # One marker at the first boundary, then a single jump to the end:
@@ -89,7 +89,7 @@ def test_batch_walk_steps_around_interleaved_event():
     env = Environment()
     order = []
     walk = BatchWalk(env, [1.0, 2.0, 3.0], 4.0)
-    walk.event.add_callback(lambda ev: order.append(("walk", env.now)))
+    walk.event.callbacks = [lambda ev: order.append(("walk", env.now))]
 
     def other():
         yield Timeout(env, 2.5)
@@ -106,7 +106,7 @@ def test_batch_walk_without_boundaries_schedules_end_directly():
     env = Environment()
     done = []
     walk = BatchWalk(env, [], 2.0)
-    walk.event.add_callback(lambda ev: done.append(env.now))
+    walk.event.callbacks = [lambda ev: done.append(env.now)]
     env.run()
     assert done == [2.0]
     assert walk.hops == 0

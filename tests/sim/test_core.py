@@ -237,10 +237,10 @@ def test_active_process_is_none_outside_callbacks():
     env = Environment()
 
     def proc():
-        assert env.active_process is not None
+        assert env._active_process is not None
         yield env.timeout(1)
 
     env.process(proc())
-    assert env.active_process is None
+    assert env._active_process is None
     env.run()
-    assert env.active_process is None
+    assert env._active_process is None

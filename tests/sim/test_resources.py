@@ -188,7 +188,7 @@ def test_container_get_blocks_until_put():
     env.process(producer())
     env.run()
     assert log == [("got", 4)]
-    assert pool.level == 0
+    assert pool._level == 0
 
 
 def test_container_rejects_negative_amount():
@@ -223,7 +223,7 @@ def test_container_put_blocks_at_capacity():
     env.process(consumer())
     env.run()
     assert log == [("put", 3)]
-    assert pool.level == 7
+    assert pool._level == 7
 
 
 def test_store_fifo_order():

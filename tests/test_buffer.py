@@ -12,6 +12,11 @@ def make_buffer(pages=50):
     return env, BufferManager(env, total_pages=pages, pe_id=0)
 
 
+def working_space_pages(buf):
+    """Pages the buffer's unreleased working spaces hold."""
+    return sum(ws.pages for ws in buf._working_spaces if not ws.released)
+
+
 def test_reserve_grants_desired_when_free():
     env, buf = make_buffer(50)
     grants = []
@@ -24,7 +29,7 @@ def test_reserve_grants_desired_when_free():
     env.run()
     assert grants == [30]
     assert buf.free_pages == 20
-    assert buf.working_space_pages == 30
+    assert working_space_pages(buf) == 30
 
 
 def test_reserve_grants_partial_down_to_minimum():
@@ -117,7 +122,7 @@ def test_oltp_footprint_takes_free_pages_first():
     env, buf = make_buffer(50)
     added = buf.ensure_oltp_footprint(20)
     assert added == 20
-    assert buf.oltp_pages == 20
+    assert buf._oltp_pages == 20
     assert buf.free_pages == 30
     # Growing to the same target is a no-op.
     assert buf.ensure_oltp_footprint(20) == 0
@@ -140,7 +145,7 @@ def test_oltp_footprint_steals_from_working_space():
     # pages are taken from the join.
     assert added == 12
     assert spaces[0].pages == 38  # 45 - 7 stolen
-    assert buf.oltp_pages == 12  # 5 free + 7 stolen
+    assert buf._oltp_pages == 12  # 5 free + 7 stolen
 
 
 def test_oltp_footprint_respects_working_space_minimum():
@@ -173,8 +178,8 @@ def test_join_can_evict_unprotected_oltp_pages():
     env.process(join())
     env.run()
     assert grants == [(0, 10)]
-    assert buf.oltp_pages == 20
-    assert buf.working_space_pages == 10  # the 10 evicted pages
+    assert buf._oltp_pages == 20
+    assert working_space_pages(buf) == 10  # the 10 evicted pages
 
 
 def test_protected_oltp_pages_block_memory_queue_until_release():
@@ -210,12 +215,12 @@ def test_oltp_refill_after_eviction_uses_free_pages_only():
     env.run()
     # The join gets the 6 free pages plus the 22 unprotected OLTP pages.
     assert spaces[0].pages == 28
-    assert buf.oltp_pages == 22
+    assert buf._oltp_pages == 22
     assert buf.free_pages == 0  # the 22 evicted pages went to the join
     # OLTP still holds its protected working set, so refilling the footprint
     # does not steal anything back from the join.
     buf.ensure_oltp_footprint(44)
-    assert buf.oltp_pages == 22
+    assert buf._oltp_pages == 22
     assert spaces[0].pages == 28
 
 
@@ -236,9 +241,9 @@ def test_utilization_and_queue_length():
     env.process(blocked())
     env.run(until=5)
     assert buf.utilization() == pytest.approx(0.5)
-    assert buf.memory_queue_length == 1
+    assert len(buf._memory_queue) == 1
     env.run()
-    assert buf.memory_queue_length == 0
+    assert len(buf._memory_queue) == 0
     assert 0.0 < buf.average_utilization() <= 1.0
 
 
@@ -272,5 +277,5 @@ def test_buffer_never_overcommits(total, requests):
         env.process(proc(desired, minimum))
     env.run()
     in_use = sum(ws.pages for ws in granted if not ws.released)
-    assert in_use + buf.free_pages + buf.oltp_pages == total
+    assert in_use + buf.free_pages + buf._oltp_pages == total
     assert buf.free_pages >= 0

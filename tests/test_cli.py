@@ -215,6 +215,34 @@ def test_set_on_a_field_the_config_lacks_is_rejected(path):
         main(["sweep", "--sizes", "4", "--set", f"{path}=1"])
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["experiment", "figure5", "--sizes", "4", "--joins", "0"], "measured_joins=0"),
+    (["experiment", "figure5", "--sizes", "4", "--time-limit", "-1"], "max_simulated_time=-1.0"),
+    (["experiment", "figure5", "--sizes", "0"], "system sizes must be >= 1, got 0"),
+    (["experiment", "figure1", "--sizes", "0"], "degrees must be >= 1, got 0"),
+    (["sweep", "--sizes", "4", "--joins", "-3"], "measured_joins=-3"),
+    (["sweep", "--sizes", "4", "--time-limit", "-5"], "max_simulated_time=-5.0"),
+    (["sweep", "--sizes", "4", "--rates", "-1"], "rates must be positive and finite, got -1.0"),
+    (["sweep", "--sizes", "4", "--rates", "inf"], "rates must be positive and finite, got inf"),
+    (["sweep", "--sizes", "4", "--time-limit", "inf"], "max_simulated_time=inf"),
+    (["sweep", "--sizes", "4", "--arrival", "step", "--timeline-window", "nan"],
+     "timeline_window must be positive, got nan"),
+    (["sweep", "--sizes", "4", "--arrival", "step", "--arrival-param", "surge_factor=nan"],
+     "--arrival-param value 'nan'"),
+    (["sweep", "--sizes", "0"], "system sizes must be >= 1, got 0"),
+    (["sweep", "--sizes", "4", "--selectivities", "1.5"],
+     "selectivities must lie in [0, 1], got 1.5"),
+])
+def test_bad_run_limit_or_axis_fails_before_any_point_runs(argv, value, record_calls):
+    from repro.runner import ParallelRunner
+
+    runs = record_calls(ParallelRunner, "run")
+    with pytest.raises(SystemExit, match=re.escape(value)) as excinfo:
+        main([*argv, "--no-cache"])
+    assert isinstance(excinfo.value.code, str)  # a message: exit status 1
+    assert runs == []
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

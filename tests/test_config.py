@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,6 @@ def test_buffer_defaults():
     config = SystemConfig()
     assert config.buffer.page_size_bytes == 8_192
     assert config.buffer.buffer_pages == 50
-    assert config.buffer.buffer_bytes == 50 * 8_192
 
 
 def test_relation_defaults():
@@ -74,8 +74,8 @@ def test_relation_defaults():
     assert config.relation_a.pages == 12_500
     assert config.relation_b.pages == 50_000
     # Roughly 100 MB and 400 MB as stated in Fig. 4.
-    assert config.relation_a.size_bytes == 100_000_000
-    assert config.relation_b.size_bytes == 400_000_000
+    for relation, size in ((config.relation_a, 100_000_000), (config.relation_b, 400_000_000)):
+        assert relation.num_tuples * relation.tuple_size_bytes == size
 
 
 def test_node_partitioning_20_80():
@@ -143,25 +143,46 @@ def test_relation_pages_for_tuples():
     assert rel.pages_for_tuples(21) == 2
 
 
+#: A perfbench span target, ``"repro.module:Owner.name"``: the tracer
+#: wraps ``Owner.name`` by name, so the string reads ``name``.
+_SPAN_TARGET = re.compile(r"[\w.]+:\w+\.(\w+)")
+
+
 def _names_read(*roots):
-    """Attribute names the Python files under ``roots`` read: every load
-    ``x.name`` and every ``getattr(x, "name")`` string argument."""
-    loaded = set()
+    """What the Python files under ``roots`` read by name.
+
+    Returns ``(names, prefixes, literals)``.  ``names`` holds every load
+    ``x.name``, every ``getattr(x, "name")`` string argument and the
+    ``name`` of every span target string.  A ``getattr`` whose name is an
+    f-string, such as ``getattr(self, f"_apply_{kind}")``, reads every name
+    that starts with its literal prefix; ``prefixes`` holds those.
+    ``literals`` holds every string constant.
+    """
+    names, prefixes, literals = set(), set(), set()
     for root in roots:
         for path in root.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.attr)
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+                    target = _SPAN_TARGET.fullmatch(node.value)
+                    if target:
+                        names.add(target.group(1))
                 elif (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "getattr"
                     and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                    and isinstance(node.args[1].value, str)
                 ):
-                    loaded.add(node.args[1].value)
-    return loaded
+                    name = node.args[1]
+                    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                        names.add(name.value)
+                    elif isinstance(name, ast.JoinedStr) and isinstance(
+                        name.values[0], ast.Constant
+                    ):
+                        prefixes.add(name.values[0].value)
+    return names, tuple(prefixes), literals
 
 
 def test_every_config_field_is_read():
@@ -169,11 +190,12 @@ def test_every_config_field_is_read():
 
     A field nothing reads still changes a ``--set`` point's cache key but
     never its result, so it offers a choice the simulator does not make.
-    A read is an attribute load ``x.field`` or ``getattr(x, "field")``.
+    A read is an attribute load ``x.field`` or a ``getattr`` that names
+    it (see ``_names_read``).
     """
     from repro.config import parameters
 
-    loaded = _names_read(PACKAGE)
+    names, prefixes, _ = _names_read(PACKAGE)
     unread = sorted(
         f"{cls.__name__}.{field.name}"
         for cls in vars(parameters).values()
@@ -181,33 +203,79 @@ def test_every_config_field_is_read():
         and dataclasses.is_dataclass(cls)
         and cls.__module__ == parameters.__name__
         for field in dataclasses.fields(cls)
-        if field.name not in loaded
+        if field.name not in names and not field.name.startswith(prefixes)
     )
     assert not unread, f"config fields nothing reads: {unread}"
 
 
+#: Methods ``http.server`` calls by name (``"do_" + command`` and its
+#: request logger), so no reader spells them.
+_SERVER_HOOKS = {("_Handler", "do_GET"), ("_Handler", "do_POST"), ("_Handler", "log_message")}
+
+
+def _is_record(cls):
+    """Whether a class body declares fields: a dataclass or a NamedTuple."""
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+               for base in cls.bases)
+
+
 def test_every_stored_attribute_is_read():
-    """Every attribute ``src/repro`` stores on ``self`` is read somewhere.
+    """Every attribute, method, property and field of a class in
+    ``src/repro`` is read somewhere.
 
     A value the program writes and nothing reads costs a store on every
-    call that writes it and explains no output.  The readers are the
-    package, ``perfbench``, ``benchmarks`` and ``examples``; ``tests`` is
-    not one, so a test checks behaviour the program exposes, not private
-    bookkeeping.  A read matches by name, as in the config check above.
+    call that writes it and explains no output; a method only a test calls
+    is code no output depends on.  A class declares the attributes it
+    stores on ``self``, the functions in its body (methods and
+    properties) and, for a dataclass or NamedTuple, its annotated fields.
+    The readers are the package, ``perfbench``, ``benchmarks`` and
+    ``examples``; ``tests`` is not one, so a test checks behaviour the
+    program exposes, not private bookkeeping.  A read matches by name (see
+    ``_names_read``).  A field also counts as read where a reader spells
+    its name as a string: ``Axis("topologies", ...)`` names the
+    ``Sweep.topologies`` axis that ``getattr(sweep, axis.sweep_field)``
+    reads.  Dunders are exempt, since Python calls them by protocol, and so
+    are the ``http.server`` hooks in ``_SERVER_HOOKS``.
     """
     root = Path(__file__).resolve().parents[1]
-    loaded = _names_read(PACKAGE, root / "perfbench", root / "benchmarks", root / "examples")
-    stored = set()
+    names, prefixes, literals = _names_read(
+        PACKAGE, root / "perfbench", root / "benchmarks", root / "examples"
+    )
+    members, fields = set(), set()
     for path in PACKAGE.rglob("*.py"):
         for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(cls, ast.ClassDef):
-                stored.update(
-                    (cls.name, node.attr)
-                    for node in ast.walk(cls)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members.update(
+                (cls.name, node.attr)
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            )
+            members.update(
+                (cls.name, node.name)
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+            if _is_record(cls):
+                fields.update(
+                    (cls.name, node.target.id)
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
                 )
-    unread = sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in loaded)
-    assert not unread, f"attributes stored on self and never read: {unread}"
+    unread = sorted(
+        f"{cls}.{name}"
+        for cls, name in members | fields
+        if not (name.startswith("__") and name.endswith("__"))
+        and (cls, name) not in _SERVER_HOOKS
+        and name not in names
+        and not name.startswith(prefixes)
+        and not ((cls, name) in fields and name in literals)
+    )
+    assert not unread, f"attributes, methods and fields nothing reads: {unread}"

@@ -50,12 +50,11 @@ def test_fragment_selectivity_validation():
 # -- declustering -------------------------------------------------------------
 def test_decluster_uniform_distribution():
     config = RelationConfig(name="A", num_tuples=250_000, declustering_fraction=0.2)
-    relation = decluster(config, pe_ids=list(range(8)), disks_per_pe=10)
+    relation = decluster(config, pe_ids=list(range(8)))
     assert len(relation.fragments) == 8
     sizes = [frag.num_tuples for frag in relation.fragments.values()]
     assert sum(sizes) == 250_000
     assert max(sizes) - min(sizes) <= 1
-    assert all(len(frag.disk_ids) == 10 for frag in relation.fragments.values())
 
 
 def test_decluster_requires_nodes():

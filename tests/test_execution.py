@@ -152,7 +152,7 @@ def test_pphj_no_overflow_when_memory_sufficient():
     granted = []
     join = env.process(run_join(executor, granted))
     env.run()
-    assert join.processed
+    assert not join.is_alive
     assert granted[0] >= executor.share.hash_table_pages
     assert executor.overflow_pages == 0
     assert executor.memory_wait_time == 0.0

@@ -53,11 +53,11 @@ def test_mirror_placement_pairs_adjacent_ring_pes():
     config, relations = _relations(replication="mirror")
     assert relations["B"].backups == {2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     # Odd-sized ring: the unpaired last position wraps to ring[0].
-    odd = decluster(config.relation_a, [0, 1, 2], config.disk.disks_per_pe)
+    odd = decluster(config.relation_a, [0, 1, 2])
     assign_replicas(odd, "mirror")
     assert odd.backups == {0: 1, 1: 0, 2: 0}
     # Single-PE ring: nowhere disjoint to place a copy.
-    single = decluster(config.relation_a, [4], config.disk.disks_per_pe)
+    single = decluster(config.relation_a, [4])
     assign_replicas(single, "mirror")
     assert single.backups == {}
     with pytest.raises(ValueError, match="unknown replication policy"):

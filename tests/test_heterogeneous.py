@@ -73,7 +73,6 @@ def test_topology_validation_and_tiers():
         cross_region_latency_factor=25.0,
     )
     assert not topo.is_flat
-    assert topo.tiers == 3
     # 16 PEs -> racks of 4, regions of 2 racks.
     assert topo.tier_between(0, 3, 16) == 0  # same rack
     assert topo.tier_between(0, 4, 16) == 1  # rack 0 vs rack 1, region 0
@@ -86,7 +85,7 @@ def test_node_classes_cover_contiguous_blocks():
     assert [config.node_class_name(pe) for pe in range(8)] == (
         ["fast"] * 4 + ["default"] * 4
     )
-    assert config.heterogeneous
+    assert not config.node_class_of(0).is_default_hardware
     assert config.effective_cpu(0).mips == config.cpu.mips * 2.0
     assert config.effective_buffer_pages(0) == 2 * config.buffer.buffer_pages
     assert config.effective_cpu(4) is config.cpu  # remainder keeps baseline
@@ -104,7 +103,7 @@ def test_explicit_default_class_is_transparent():
     """Default-hardware classes return the *same objects* as the uniform
     config -- the engine cannot tell the two configs apart."""
     config = SystemConfig(num_pe=4, node_classes=(DEFAULT_CLASS,))
-    assert not config.heterogeneous
+    assert all(config.node_class_of(pe).is_default_hardware for pe in range(4))
     for pe in range(4):
         assert config.effective_cpu(pe) is config.cpu
         assert config.effective_disk(pe) is config.disk

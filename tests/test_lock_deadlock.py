@@ -5,6 +5,16 @@ from repro.engine import DeadlockAbort, DeadlockDetector, LockManager, LockMode
 from repro.sim import Environment
 
 
+def _waiting(locks):
+    """Requests queued in a lock table."""
+    return sum(len(entry.waiters) for entry in locks._table.values())
+
+
+def _edges(detector):
+    """Edges of the detector's waits-for graph."""
+    return sum(len(targets) for targets in detector._waits_for.values())
+
+
 def test_shared_locks_are_compatible():
     env = Environment()
     locks = LockManager(env)
@@ -38,7 +48,7 @@ def test_exclusive_lock_blocks_and_is_granted_on_release():
 
     def probe():
         yield env.timeout(5)
-        waiting.append(locks.waiting_count())
+        waiting.append(_waiting(locks))
 
     env.process(writer(1, 0, 10))
     env.process(writer(2, 1, 1))
@@ -62,7 +72,7 @@ def test_lock_upgrade_same_transaction():
     env.process(proc())
     env.run()
     assert done == [0]
-    assert not locks.holds(7, "page1")
+    assert locks._table == {}
 
 
 def test_reacquire_held_lock_is_immediate():
@@ -128,10 +138,11 @@ def test_waiting_count_and_held_count():
     env.process(holder())
     env.process(waiter())
     env.run(until=5)
-    assert locks.held_count() == 1
-    assert locks.waiting_count() == 1
+    assert list(locks._table["r"].holders) == [1]
+    assert _waiting(locks) == 1
     env.run()
-    assert locks.waiting_count() == 0
+    assert _waiting(locks) == 0
+    assert locks._table == {}
 
 
 # -- deadlock detection -------------------------------------------------------------
@@ -162,7 +173,7 @@ def test_detect_and_resolve_picks_youngest_victim():
     victims = detector.detect_and_resolve()
     assert victims == [20]
     assert aborted == [20]
-    assert detector.edge_count == 0
+    assert _edges(detector) == 0
     assert detector.find_cycle() is None
 
 
@@ -170,7 +181,7 @@ def test_self_wait_is_ignored():
     env = Environment()
     detector = DeadlockDetector(env)
     detector.add_wait(1, 1)
-    assert detector.edge_count == 0
+    assert _edges(detector) == 0
 
 
 def test_remove_transaction_clears_edges():
@@ -179,7 +190,7 @@ def test_remove_transaction_clears_edges():
     detector.add_wait(1, 2)
     detector.add_wait(3, 1)
     detector.remove_transaction(1)
-    assert detector.edge_count == 0
+    assert _edges(detector) == 0
 
 
 def test_end_to_end_deadlock_resolution():

@@ -290,10 +290,12 @@ def test_expansion_canonicalises_selectivity_pct_x():
 def test_default_time_limit_rejects_bad_fallback(monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_TIME_LIMIT", raising=False)
     assert default_time_limit(50.0) == 50.0
-    monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", "-3")
-    assert default_time_limit(50.0) == 50.0
-    with pytest.raises(ValueError):
-        default_time_limit(0.0)
+    for value in ("-3", "inf", "nan"):
+        monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", value)
+        assert default_time_limit(50.0) == 50.0
+    for fallback in (0.0, float("inf")):
+        with pytest.raises(ValueError):
+            default_time_limit(fallback)
 
 
 # -- worker-failure handling -----------------------------------------------------

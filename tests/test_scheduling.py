@@ -40,6 +40,11 @@ def build_system(num_pe=8, buffer_pages=50):
     return env, config, pes, control, cost_model
 
 
+def all_eligible(config, cost_model, control):
+    """A scheduling context in which every PE may join (no PE is down)."""
+    return SchedulingContext(cost_model, control, tuple(range(config.num_pe)))
+
+
 # -- control node -----------------------------------------------------------------
 def test_control_node_collects_reports():
     env, config, pes, control, cost_model = build_system()
@@ -255,7 +260,7 @@ def test_isolated_strategy_name_and_plan():
     control.collect_reports()
     strategy = IsolatedStrategy(StaticNoIODegree(), LeastUtilizedMemoryPlacement())
     assert strategy.name == "psu_noIO+LUM"
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     plan = strategy.plan_join(JoinQuery(scan_selectivity=0.01), context)
     assert plan.degree == 3
     assert len(plan.processors) == 3
@@ -277,12 +282,12 @@ def test_isolated_strategy_restricted_eligible_set():
 def test_min_io_selects_minimal_io_avoiding_degree():
     env, config, pes, control, cost_model = build_system(num_pe=8, buffer_pages=50)
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     plan = MinIOStrategy().plan_join(JoinQuery(scan_selectivity=0.01), context)
     # Hash table needs 132 pages; 50 free pages per node -> 3 nodes avoid I/O.
     assert plan.degree == 3
-    assert plan.expected_overflow_pages == 0
-    assert plan.strategy_name == "MIN-IO"
+    # No overflow: each share fits the 50 free pages of its processor.
+    assert plan.pages_per_processor <= 50
 
 
 def test_min_io_minimises_overflow_when_unavoidable():
@@ -299,25 +304,26 @@ def test_min_io_minimises_overflow_when_unavoidable():
     env.process(reserve(pes[3], 50))
     env.run()
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     # Need ~53 pages (selectivity 0.004 -> 50 inner pages * 1.05).
     plan = MinIOStrategy().plan_join(JoinQuery(scan_selectivity=0.004), context)
     assert plan.degree == 1
     assert plan.processors == (0,)
-    assert plan.expected_overflow_pages > 0
+    # The whole table cannot fit the 40 free pages: it overflows.
+    assert plan.pages_per_processor > pes[0].buffer.free_pages == 40
 
 
 def test_min_io_suopt_prefers_degree_near_su_opt():
     env, config, pes, control, cost_model = build_system(num_pe=40, buffer_pages=50)
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     query = JoinQuery(scan_selectivity=0.01)
-    min_io_plan = MinIOStrategy().plan_join(query, context2 := SchedulingContext(cost_model, control))
+    min_io_plan = MinIOStrategy().plan_join(query, context)
     suopt_plan = MinIOSuOptStrategy().plan_join(query, context)
     su_opt = cost_model.psu_opt(query)
     assert suopt_plan.degree > min_io_plan.degree
     assert abs(suopt_plan.degree - su_opt) <= abs(min_io_plan.degree - su_opt)
-    assert suopt_plan.expected_overflow_pages == 0
+    assert suopt_plan.pages_per_processor <= 50
 
 
 def test_opt_io_cpu_bounded_by_pmu_cpu_under_load():
@@ -330,7 +336,7 @@ def test_opt_io_cpu_bounded_by_pmu_cpu_under_load():
         env.process(burn(pe))
     env.run(until=1.0)
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     query = JoinQuery(scan_selectivity=0.01)
     plan = OptIOCpuStrategy().plan_join(query, context)
     bound = cost_model.pmu_cpu(query, control.average_cpu_utilization())
@@ -342,12 +348,12 @@ def test_opt_io_cpu_acts_like_min_io_suopt_when_idle():
     control.collect_reports()
     query = JoinQuery(scan_selectivity=0.01)
     plan_opt = OptIOCpuStrategy().plan_join(
-        query, SchedulingContext(cost_model=cost_model, control=control)
+        query, all_eligible(config, cost_model, control)
     )
     env2, config2, pes2, control2, cost_model2 = build_system(num_pe=40, buffer_pages=50)
     control2.collect_reports()
     plan_suopt = MinIOSuOptStrategy().plan_join(
-        query, SchedulingContext(cost_model=cost_model2, control=control2)
+        query, all_eligible(config2, cost_model2, control2)
     )
     assert plan_opt.degree == plan_suopt.degree
 
@@ -364,7 +370,7 @@ def test_opt_io_cpu_avoids_memory_loaded_nodes():
     env.process(reserve(pes[1], 45))
     env.run()
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     plan = OptIOCpuStrategy().plan_join(JoinQuery(scan_selectivity=0.01), context)
     assert 0 not in plan.processors
     assert 1 not in plan.processors
@@ -396,7 +402,7 @@ def test_make_strategy_unknown_name():
 def test_make_strategy_builds_working_instances():
     env, config, pes, control, cost_model = build_system(num_pe=8)
     control.collect_reports()
-    context = SchedulingContext(cost_model=cost_model, control=control)
+    context = all_eligible(config, cost_model, control)
     for name in strategy_names():
         strategy = make_strategy(name, seed=5)
         plan = strategy.plan_join(JoinQuery(scan_selectivity=0.01), context)

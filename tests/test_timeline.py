@@ -156,7 +156,6 @@ def test_timeline_series_and_window_at():
         ],
     )
     assert timeline.series("joins_completed") == [1, 4]
-    assert timeline.peak("joins_completed") == 4
     covering = [window for window in timeline.windows if window.start <= 1.5 < window.end]
     assert [window.joins_completed for window in covering] == [4]
     assert not [window for window in timeline.windows if window.start <= 5.0 < window.end]

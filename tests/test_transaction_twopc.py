@@ -15,10 +15,10 @@ def test_mpl_limits_concurrency():
     starts = []
 
     def txn(name, duration):
-        slot = yield from manager.admit()
+        yield from manager.admit(name)
         starts.append((name, env.now))
         yield env.timeout(duration)
-        manager.finish(slot)
+        manager.finish(name)
 
     for index in range(4):
         env.process(txn(f"t{index}", 10))
@@ -32,18 +32,18 @@ def test_input_queue_length_visible_while_saturated():
     env = Environment()
     manager = TransactionManager(env, pe_id=0, multiprogramming_level=1)
 
-    def txn(duration):
-        slot = yield from manager.admit()
+    def txn(txn_id, duration):
+        yield from manager.admit(txn_id)
         yield env.timeout(duration)
-        manager.finish(slot)
+        manager.finish(txn_id)
 
-    for _ in range(3):
-        env.process(txn(5))
+    for txn_id in range(3):
+        env.process(txn(txn_id, 5))
     env.run(until=2)
     assert manager.active_count == 1
-    assert manager.input_queue_length == 2
+    assert manager._slots.queue_length == 2
     env.run()
-    assert manager.input_queue_length == 0
+    assert manager._slots.queue_length == 0
 
 
 def test_invalid_mpl_rejected():
@@ -59,14 +59,39 @@ def test_is_active_tracks_registration():
     events = []
 
     def proc():
-        slot = yield from manager.admit()
+        yield from manager.admit(1)
         events.append(manager.active_count)
-        manager.finish(slot)
+        manager.finish(1)
         events.append(manager.active_count)
 
     env.process(proc())
     env.run()
     assert events == [1, 0]
+
+
+def test_purge_txn_frees_a_killed_transactions_slot_or_queue_place():
+    # Fault injection kills a transaction's process, then purges its slot:
+    # a held slot passes to the next waiter, a queued request is cancelled.
+    env = Environment()
+    manager = TransactionManager(env, pe_id=0, multiprogramming_level=1)
+    starts = {}
+
+    def txn(txn_id):
+        yield from manager.admit(txn_id)
+        starts[txn_id] = env.now
+        yield env.timeout(10)
+        manager.finish(txn_id)
+
+    processes = {txn_id: env.process(txn(txn_id)) for txn_id in (1, 2, 3)}
+    env.run(until=4)  # 1 holds the slot, 2 and 3 wait
+    for txn_id in (2, 1):
+        processes[txn_id].kill()
+        manager.purge_txn(txn_id)
+    manager.purge_txn(1)  # nothing left to give back
+    env.run()
+    assert starts == {1: 0, 3: 4}
+    assert manager.active_count == 0
+    assert manager._requests == {}
 
 
 # -- two-phase commit ----------------------------------------------------------------

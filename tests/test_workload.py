@@ -28,13 +28,6 @@ def test_transaction_ids_are_unique():
     assert q1.txn_id != q2.txn_id
 
 
-def test_response_time_requires_completion():
-    query = JoinQuery(arrival_time=10.0)
-    assert query.response_time is None
-    query.completion_time = 12.5
-    assert query.response_time == pytest.approx(2.5)
-
-
 # -- routers ----------------------------------------------------------------------
 def test_random_router_covers_candidates():
     router = RandomRouter(pe_ids=[1, 2, 3], seed=1)

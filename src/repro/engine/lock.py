@@ -9,9 +9,9 @@ central deadlock detector (:mod:`repro.engine.deadlock`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict
+from typing import Deque, Dict, Optional
 
 from repro.sim import Environment, Event
 
@@ -40,10 +40,14 @@ class _LockRequest:
     event: Event
 
 
-@dataclass
 class _LockEntry:
-    holders: Dict[int, LockMode] = field(default_factory=dict)
-    waiters: Deque[_LockRequest] = field(default_factory=deque)
+    """Holders of one lock, and its FIFO of waiters (``None`` until one waits)."""
+
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self, txn_id: int, mode: LockMode):
+        self.holders: Dict[int, LockMode] = {txn_id: mode}
+        self.waiters: Optional[Deque[_LockRequest]] = None
 
 
 def _compatible(entry: _LockEntry, txn_id: int, mode: LockMode) -> bool:
@@ -85,21 +89,34 @@ class LockManager:
         The event fails with :class:`DeadlockAbort` if the transaction is
         chosen as a deadlock victim while waiting.
         """
-        entry = self._table.setdefault(resource, _LockEntry())
-        held = entry.holders.get(txn_id)
         event = Event(self.env)
+        entry = self._table.get(resource)
+        if entry is None:
+            # First touch: the entry is born holding the lock.
+            self._table[resource] = _LockEntry(txn_id, mode)
+            held_by_txn = self._held_by_txn
+            held = held_by_txn.get(txn_id)
+            if held is None:
+                held_by_txn[txn_id] = {resource: None}
+            else:
+                held[resource] = None
+            event.succeed(mode)
+            return event
+        held = entry.holders.get(txn_id)
         if held is not None and (held is LockMode.EXCLUSIVE or mode is LockMode.SHARED):
             # Already held in a sufficient mode.
             event.succeed(mode)
             return event
-        if not entry.waiters and _compatible(entry, txn_id, mode):
+        waiters = entry.waiters
+        if not waiters and _compatible(entry, txn_id, mode):
             # FIFO fairness: nobody jumps the queue.
             self._grant(entry, txn_id, resource, mode)
             event.succeed(mode)
             return event
         # Must wait: register the waits-for edges for deadlock detection.
-        request = _LockRequest(txn_id=txn_id, mode=mode, event=event)
-        entry.waiters.append(request)
+        if waiters is None:
+            waiters = entry.waiters = deque()
+        waiters.append(_LockRequest(txn_id=txn_id, mode=mode, event=event))
         if self.deadlock_detector is not None:
             for holder in entry.holders:
                 if holder != txn_id:
@@ -123,7 +140,8 @@ class LockManager:
             if entry is None:
                 continue
             entry.holders.pop(txn_id, None)
-            self._wake_waiters(resource, entry)
+            if entry.waiters:
+                self._wake_waiters(resource, entry)
             if not entry.holders and not entry.waiters:
                 self._table.pop(resource, None)
 
@@ -149,6 +167,8 @@ class LockManager:
         """
         found = False
         for resource, entry in list(self._table.items()):
+            if not entry.waiters:
+                continue
             remaining: Deque[_LockRequest] = deque()
             for request in entry.waiters:
                 if request.txn_id == txn_id:

@@ -27,12 +27,12 @@ class TransactionManager:
         self._requests: Dict[int, Request] = {}
 
     # -- admission ------------------------------------------------------------
-    def admit(self, txn_id: int):
-        """Simulation step: wait for a free MPL slot for ``txn_id``.
+    def admit(self, txn_id: int) -> Request:
+        """Request a free MPL slot for ``txn_id``; the request triggers when granted.
 
-        Usage::
+        Usage (inside a simulation process)::
 
-            yield from txn_manager.admit(txn_id)
+            yield txn_manager.admit(txn_id)
             ...
             txn_manager.finish(txn_id)
 
@@ -40,7 +40,7 @@ class TransactionManager:
         place in the input queue) back through :meth:`purge_txn`.
         """
         request = self._requests[txn_id] = self._slots.request()
-        yield request
+        return request
 
     def finish(self, txn_id: int) -> None:
         """Release the MPL slot at end of transaction."""

@@ -28,10 +28,23 @@ def execute_oltp_transaction(
     profile: OltpCostProfile,
     rng: random.Random,
 ) -> Generator:
-    """Simulation process executing one OLTP transaction on its home PE."""
+    """Simulation process running one OLTP transaction on its home PE.
+
+    The whole life of the transaction is this one generator: it waits for
+    an MPL slot, runs, records its response time and frees the slot.  A
+    transaction killed on the way gets its slot, locks and pages back
+    through the fault runtime's purge, not through a ``finally`` here.
+    """
+    pe = system.pes[transaction.home_pe]
+    txn_id = transaction.txn_id
+    transactions = pe.transactions
+    yield transactions.admit(txn_id)
+
     config = system.config
     costs: InstructionCosts = config.costs
-    pe = system.pes[transaction.home_pe]
+    cpu = pe.cpu
+    disks = pe.disks
+    locks = pe.locks
 
     # Maintain the OLTP buffer footprint on this node (steals from joins if
     # necessary -- a running PPHJ join then spools the partitions it can no
@@ -39,17 +52,17 @@ def execute_oltp_transaction(
     pe.buffer.ensure_oltp_footprint(profile.working_set_pages)
 
     # BOT.
-    yield from pe.cpu.consume(costs.initiate_transaction, priority=PRIORITY_OLTP)
+    yield from cpu.consume(costs.initiate_transaction, priority=PRIORITY_OLTP)
 
     # Acquire exclusive locks on the accessed tuples (page-granularity ids on
     # the node-local account relation; disjoint from A and B so no conflicts
-    # with join queries).
+    # with join queries).  Lock tables and disk caches are per PE, so the
+    # tuple (or page) number alone is the key.
     for access in range(transaction.tuple_accesses):
-        resource = ("ACCT", pe.pe_id, rng.randrange(10_000))
-        yield pe.locks.acquire(transaction.txn_id, resource, LockMode.EXCLUSIVE)
+        yield locks.acquire(txn_id, rng.randrange(10_000), LockMode.EXCLUSIVE)
 
     # CPU for index traversals, tuple reads and updates (aggregated).
-    yield from pe.cpu.consume(profile.cpu_instructions, priority=PRIORITY_OLTP)
+    yield from cpu.consume(profile.cpu_instructions, priority=PRIORITY_OLTP)
 
     # Physical reads for buffer misses.
     misses = 0
@@ -57,11 +70,11 @@ def execute_oltp_transaction(
         if rng.random() > profile.buffer_hit_ratio:
             misses += 1
     for miss in range(misses):
-        yield from pe.disks.read_random(page_key=("acct", pe.pe_id, rng.randrange(5_000)))
+        yield from disks.read_random(page_key=rng.randrange(5_000))
 
     # Commit: force the log, then release locks (strict 2PL).
     for _ in range(profile.log_writes):
-        yield from pe.disks.write_random()
+        yield from disks.write_random()
 
     # Replica maintenance: with a replicated database the updates must also
     # be shipped to and forced at the backup copy of this node's fragment
@@ -72,7 +85,7 @@ def execute_oltp_transaction(
             backup_pe = system.pes[backup_pe_id]
             network = system.network
             for _ in range(profile.log_writes):
-                yield from pe.cpu.consume(costs.send_message, priority=PRIORITY_OLTP)
+                yield from cpu.consume(costs.send_message, priority=PRIORITY_OLTP)
                 yield from network.transfer(
                     config.buffer.page_size_bytes, src=pe.pe_id, dst=backup_pe_id
                 )
@@ -81,5 +94,7 @@ def execute_oltp_transaction(
                 )
                 yield from backup_pe.disks.write_random()
 
-    yield from pe.cpu.consume(costs.terminate_transaction, priority=PRIORITY_OLTP)
-    pe.locks.release_all(transaction.txn_id)
+    yield from cpu.consume(costs.terminate_transaction, priority=PRIORITY_OLTP)
+    locks.release_all(txn_id)
+    system.metrics.record_oltp(system.env.now - transaction.arrival_time)
+    transactions.finish(txn_id)

@@ -98,7 +98,7 @@ class _ChainBatch(BatchRun):
     """
 
     __slots__ = (
-        "array", "disk", "controller", "disk_req", "ctl_req", "n",
+        "array", "disk", "controller", "disk_req", "ctl_claim", "n",
         "ctl_full", "ctl_last", "index", "phase",
     )
 
@@ -129,9 +129,7 @@ class _ChainBatch(BatchRun):
         self.disk = disk
         self.controller = array.controller
         self.disk_req = disk_req
-        #: Placeholder claim installed in ``controller.users`` while a
-        #: virtual controller phase is in flight (never triggered itself).
-        self.ctl_req = Request(array.controller)
+        self.ctl_claim = array._ctl_claim
         self.n = n
         self.ctl_full = ctl_full
         self.ctl_last = ctl_last
@@ -164,7 +162,7 @@ class _ChainBatch(BatchRun):
                     # ... and occupy the (idle, by construction) controller.
                     ctl._last_change = nt
                     ctl._busy_servers += 1
-                    ctl.users.add(self.ctl_req)
+                    ctl.users.add(self.ctl_claim)
                     phase = _PHASE_CTL
                 else:
                     i += 1
@@ -177,7 +175,7 @@ class _ChainBatch(BatchRun):
                 ctl._busy_time += ctl._busy_servers * (nt - ctl._last_change)
                 ctl._last_change = nt
                 ctl._busy_servers -= 1
-                ctl.users.discard(self.ctl_req)
+                ctl.users.discard(self.ctl_claim)
                 i += 1
                 disk._last_change = nt
                 disk._busy_servers += 1
@@ -242,6 +240,11 @@ class DiskArray:
             Resource(env, capacity=1, name=f"disk[{pe_id}.{index}]") for index in range(count)
         ]
         self.controller = Resource(env, capacity=1, name=f"diskctl[{pe_id}]")
+        #: Placeholder claim a chain batch installs in ``controller.users``
+        #: while a virtual controller phase is in flight (never triggered).
+        #: The controller is FIFO, so one claim per array serves every batch:
+        #: at most one batch at a time can be in a controller phase.
+        self._ctl_claim = Request(self.controller)
         #: Pages fetched per physical sequential I/O (>= 1; used by the
         #: execution layer to derive I/O counts without re-clamping).
         self.prefetch = max(1, config.prefetch_pages)
@@ -292,7 +295,7 @@ class DiskArray:
     ) -> Generator:
         """One physical I/O: queue at the disk, then at the controller."""
         env = self.env
-        config = self.config
+        controller_time = self.config.controller_time(controller_pages)
         batch = None
         req = disk.request()
         try:
@@ -301,18 +304,18 @@ class DiskArray:
                 batch = _ChainBatch(
                     self, disk, req, 1,
                     busy_time, busy_time,
-                    0.0, config.controller_time(controller_pages),
+                    0.0, controller_time,
                 )
                 yield batch.event
             else:
-                yield env.timeout(busy_time)
+                yield Timeout(env, busy_time)
         finally:
             if batch is not None:
                 batch.finalize(env._now)
                 if batch.phase == _PHASE_CTL:
                     # The disk half already finished (virtually); the real
                     # disk release was replayed, hand back the controller.
-                    self.controller.release(batch.ctl_req)
+                    self.controller.release(self._ctl_claim)
                 else:
                     disk.release(req)
             else:
@@ -322,13 +325,12 @@ class DiskArray:
             if batch.phase != _PHASE_DISK:
                 return
             # Split before the controller phase: serve it for real.
-        controller_time = config.controller_time(controller_pages)
         if controller_time > 0:
             controller = self.controller
             req = controller.request()
             try:
                 yield req
-                yield env.timeout(controller_time)
+                yield Timeout(env, controller_time)
             finally:
                 controller.release(req)
 
@@ -339,9 +341,7 @@ class DiskArray:
         Used for relation scans, clustered index scans and temporary file
         scans.  One physical I/O is issued per ``prefetch_pages`` pages.
         """
-        if pages <= 0:
-            return
-        yield from self._sequential_io(pages)
+        return self._sequential_io(pages)
 
     def _sequential_io(self, pages: int) -> Generator:
         """Chunked physical I/Os for a sequential read or write.
@@ -350,6 +350,7 @@ class DiskArray:
         per chunk) -- scans issue tens of thousands of these per point.  An
         uncontended chain is coalesced into one macro-event (module
         docstring); a split resumes this per-chunk loop at the boundary.
+        ``pages <= 0`` does nothing.
         """
         env = self.env
         controller = self.controller
@@ -386,7 +387,7 @@ class DiskArray:
                 if batch is not None:
                     batch.finalize(env._now)
                     if batch.phase == _PHASE_CTL:
-                        self.controller.release(batch.ctl_req)
+                        self.controller.release(self._ctl_claim)
                     else:
                         disk.release(req)
                 else:
@@ -421,30 +422,35 @@ class DiskArray:
                 remaining -= batch.pages_consumed(remaining, prefetch)
 
     def read_random(self, page_key: object = None) -> Generator:
-        """Random single-page read, going through the controller LRU cache."""
+        """Random single-page read, going through the controller LRU cache.
+
+        Like :meth:`write_random`, this returns the I/O's generator for the
+        caller to ``yield from``; the cache lookup and the disk choice happen
+        at the call.
+        """
         if page_key is not None and self.cache.access(page_key):
-            # Cache hit: controller service and transmission only.
-            controller = self.controller
-            req = controller.request()
-            try:
-                yield req
-                yield self.env.timeout(self.config.controller_time(1))
-            finally:
-                controller.release(req)
-            return
+            return self._cached_io()
         busy = self.config.random_io_time()
-        yield from self._physical_io(self._pick_disk(), busy, 1)
+        return self._physical_io(self._pick_disk(), busy, 1)
+
+    def _cached_io(self) -> Generator:
+        """Cache hit: controller service and transmission only."""
+        controller = self.controller
+        req = controller.request()
+        try:
+            yield req
+            yield Timeout(self.env, self.config.controller_time(1))
+        finally:
+            controller.release(req)
 
     def write_sequential(self, pages: int) -> Generator:
         """Sequential write of ``pages`` pages (temporary files, checkpoints)."""
-        if pages <= 0:
-            return
-        yield from self._sequential_io(pages)
+        return self._sequential_io(pages)
 
     def write_random(self) -> Generator:
         """Random single-page write (log forces, dirty page flushes)."""
         busy = self.config.random_io_time()
-        yield from self._physical_io(self._pick_disk(), busy, 1)
+        return self._physical_io(self._pick_disk(), busy, 1)
 
     # -- statistics ----------------------------------------------------------
     def utilization(self) -> float:

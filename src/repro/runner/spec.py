@@ -297,6 +297,14 @@ class Sweep:
             for count in counts:
                 if count < 1:
                     raise ValueError(f"{name} must be >= 1, got {count}")
+        for degree in self.degrees:
+            # ``expand`` skips a degree wider than one system size; one wider
+            # than all of them would run nowhere, so it is an error.
+            if degree > max(self.system_sizes):
+                raise ValueError(
+                    f"degree {degree} exceeds every system size "
+                    f"{list(self.system_sizes)}; no point can run it"
+                )
         for rate in self.rates:
             if rate is not None and not 0 < rate < math.inf:
                 raise ValueError(f"rates must be positive and finite, got {rate}")

@@ -24,13 +24,20 @@ trades a little uniformity for constant-factor speed:
 * callback lists are allocated lazily (most events have zero or one waiter;
   ``callbacks`` is ``None`` until the first waiter registers and the
   :data:`PROCESSED` sentinel once the callbacks have run);
-* heap entries are bare ``(time, eid, event)`` triples -- the tie-breaking
-  event id alone fixes FIFO order at equal times;
+* scheduled entries are bare ``(time, eid, event)`` triples -- the
+  tie-breaking event id alone fixes FIFO order at equal times;
+* an entry scheduled *at the current instant* (a triggered event, a
+  resource or lock grant, a process start or end, an interrupt) goes to a
+  FIFO *lane* instead of the timed heap.  Eids only grow and the clock
+  cannot move while the lane holds an entry, so the lane is always sorted
+  and costs O(1) per entry instead of a heap push and pop;
+* :meth:`Environment.run` pops whichever head of the lane, the timed heap
+  and the batch-marker heap is smallest by ``(time, eid)`` -- exactly the
+  sequence one heap holding all three would pop -- and walks its callbacks
+  once;
 * a process whose yielded target has *already been processed* is resumed
   synchronously instead of round-tripping an intermediate event through the
-  heap;
-* :meth:`Environment.run` costs one heap pop and one callback walk per
-  event.
+  queue.
 
 Events still fire in ``(time, schedule order)`` sequence and callback
 registration order is preserved.  One scheduling contract is deliberately
@@ -45,6 +52,7 @@ outcomes are byte-identical across the overhaul.
 from __future__ import annotations
 
 import os
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -162,7 +170,7 @@ class Event:
         self._value = value
         env = self.env
         eid = env._eid = env._eid + 1
-        heappush(env._queue, (env._now, eid, self))
+        env._lane.append((env._now, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -302,8 +310,13 @@ def _hop_dispatch(event: "Event") -> None:
     """
     batch = event.batch
     if batch._alive:
-        queue = event.env._queue
-        batch.hop(queue[0][0] if queue else _INF)
+        env = event.env
+        if env._lane:
+            # A same-instant entry is a real event at ``now``.
+            batch.hop(env._now)
+        else:
+            queue = env._queue
+            batch.hop(queue[0][0] if queue else _INF)
 
 
 class BatchHop(Event):
@@ -543,7 +556,7 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         eid = env._eid = env._eid + 1
-        heappush(env._queue, (env._now, eid, self))
+        env._lane.append((env._now, eid, self))
 
 
 class Process(Event):
@@ -668,11 +681,12 @@ class Process(Event):
                 raise  # pragma: no cover - defensive
             env._active_process = None
 
-            if not isinstance(next_event, Event):
+            try:
+                callbacks = next_event.callbacks
+            except AttributeError:
                 raise SimulationError(
                     f"process yielded a non-event: {next_event!r}"
-                )
-            callbacks = next_event.callbacks
+                ) from None
             self._target = next_event
             if callbacks is None:
                 next_event.callbacks = [self._resume]
@@ -731,7 +745,12 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: Timed heap: entries scheduled for a later instant.
         self._queue: list[tuple[float, int, Event]] = []
+        #: Same-instant lane: entries scheduled at the current instant, in
+        #: eid order.  Eids only grow and the clock cannot move while the
+        #: lane holds an entry, so a FIFO keeps it sorted in O(1).
+        self._lane: deque[tuple[float, int, Event]] = deque()
         #: Marker heap for :class:`BatchHop` entries -- popped in merged
         #: ``(time, eid)`` order with ``_queue`` but kept apart so batch
         #: cursors see only *real* events in their horizon.
@@ -744,7 +763,9 @@ class Environment:
 
     @property
     def events_dispatched(self) -> int:
-        """Number of events actually pushed onto the heap so far.
+        """Number of entries scheduled so far (every event id allocated).
+
+        Lane entries, timed-heap entries and batch markers all count.
 
         Together with :attr:`events_coalesced` this yields the coalescing
         ratio ``(dispatched + coalesced) / dispatched`` -- how many events the
@@ -777,47 +798,55 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Schedule an already triggered ``event`` at the current instant."""
         eid = self._eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, eid, event))
+        self._lane.append((self._now, eid, event))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue is exhausted or ``until`` is reached."""
+        if until is None:
+            limit = _INF
+        elif until < self._now:
+            raise SimulationError(f"until ({until}) lies in the past")
+        else:
+            limit = until
         # This loop is the single hottest piece of code in the whole
-        # simulator.  Batch-hop markers live in their own heap and are merged
-        # by (time, eid); the empty-`hops` check is one truthiness test in
-        # the common case.  A failed event (or crashed process) nobody waits
-        # for is a programming error: it is raised, not silently dropped.
+        # simulator.  It pops the smallest ``(time, eid)`` head of three
+        # sorted sources: the same-instant lane, the timed heap and the
+        # batch-hop marker heap.  Lane entries all sit at ``now``, so while
+        # the lane holds one, only a heap entry at ``now`` with a smaller
+        # eid (scheduled before the lane head) can come first, and the clock
+        # stays put.  A failed event (or crashed process) nobody waits for
+        # is a programming error: it is raised, not silently dropped.
+        lane = self._lane
+        popleft = lane.popleft
         queue = self._queue
         hops = self._hops
-        if until is None:
-            while queue or hops:
-                if hops and (not queue or hops[0] < queue[0]):
-                    when, _, event = heappop(hops)
+        while True:
+            if lane:
+                head = lane[0]
+                if queue and queue[0] < head:
+                    if hops and hops[0] < queue[0]:
+                        event = heappop(hops)[2]
+                    else:
+                        event = heappop(queue)[2]
+                elif hops and hops[0] < head:
+                    event = heappop(hops)[2]
                 else:
-                    when, _, event = heappop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = PROCESSED
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                elif not event._ok:
-                    raise event._value
-            return
-        if until < self._now:
-            raise SimulationError(f"until ({until}) lies in the past")
-        while queue or hops:
-            if hops and (not queue or hops[0] < queue[0]):
-                source = hops
+                    event = popleft()[2]
             else:
-                source = queue
-            when = source[0][0]
-            if when > until:
-                self._now = until
-                return
-            _, _, event = heappop(source)
-            self._now = when
+                if hops and (not queue or hops[0] < queue[0]):
+                    source = hops
+                elif queue:
+                    source = queue
+                else:
+                    break
+                when = source[0][0]
+                if when > limit:
+                    break
+                event = heappop(source)[2]
+                self._now = when
             callbacks = event.callbacks
             event.callbacks = PROCESSED
             if callbacks:
@@ -825,4 +854,5 @@ class Environment:
                     callback(event)
             elif not event._ok:
                 raise event._value
-        self._now = until
+        if until is not None:
+            self._now = until

@@ -175,13 +175,17 @@ class Resource:
         if busy < self.capacity:
             # Invariant: live requests only queue while all slots are taken,
             # so a free slot means nobody may be granted before us.
-            now = self.env._now
+            env = self.env
+            now = env._now
             if busy:
                 self._busy_time += busy * (now - self._last_change)
             self._last_change = now
             self.users.add(req)
             self._busy_servers = busy + 1
-            req.succeed(self)
+            # Inlined req.succeed(self): the grant joins the same-instant lane.
+            req._value = self
+            eid = env._eid = env._eid + 1
+            env._lane.append((now, eid, req))
         else:
             self._queued += 1
             self._enqueue(req)

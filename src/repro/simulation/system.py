@@ -149,7 +149,7 @@ class ParallelSystem:
     # by the garbage collector later, and must not touch the ended run.
     def _run_join(self, query: JoinQuery):
         coordinator = self.pes[query.coordinator_pe]
-        yield from coordinator.transactions.admit(query.txn_id)
+        yield coordinator.transactions.admit(query.txn_id)
         plan = self.strategy.plan_join(query, self.scheduling_context())
         self.faults.note_plan(query, plan.processors)
         yield from execute_join_query(self, query, plan)
@@ -162,11 +162,8 @@ class ParallelSystem:
         coordinator.transactions.finish(query.txn_id)
 
     def _run_oltp(self, transaction: OltpTransaction):
-        home = self.pes[transaction.home_pe]
-        yield from home.transactions.admit(transaction.txn_id)
-        yield from execute_oltp_transaction(self, transaction, self._oltp_profile, self._oltp_rng)
-        self.metrics.record_oltp(self.env.now - transaction.arrival_time)
-        home.transactions.finish(transaction.txn_id)
+        # The transaction's whole life, MPL slot included, is one generator.
+        return execute_oltp_transaction(self, transaction, self._oltp_profile, self._oltp_rng)
 
     # -- convenience ---------------------------------------------------------------------------
     def average_cpu_utilization(self) -> float:

@@ -232,6 +232,10 @@ def test_set_on_a_field_the_config_lacks_is_rejected(path):
     (["sweep", "--sizes", "0"], "system sizes must be >= 1, got 0"),
     (["sweep", "--sizes", "4", "--selectivities", "1.5"],
      "selectivities must lie in [0, 1], got 1.5"),
+    (["experiment", "figure1", "--sizes", "100", "--joins", "10"],
+     "degree 100 exceeds every system size [80]"),
+    (["experiment", "figure1", "--sizes", "60", "100", "--joins", "10"],
+     "degree 100 exceeds every system size [80]"),
 ])
 def test_bad_run_limit_or_axis_fails_before_any_point_runs(argv, value, record_calls):
     from repro.runner import ParallelRunner

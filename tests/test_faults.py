@@ -241,9 +241,9 @@ def test_fault_runtime_accepts_empty_plan_and_rejects_bad_pe():
 
     driver = SimulationDriver(homogeneous_config(4))
     env = driver.env
-    before = (env._eid, len(env._queue))
+    before = (env._eid, len(env._queue), len(env._lane))
     FaultRuntime(driver.system, ()).start()  # nothing to inject: no process, no event
-    assert (env._eid, len(env._queue)) == before
+    assert (env._eid, len(env._queue), len(env._lane)) == before
     with pytest.raises(ValueError, match="PE 9"):
         SimulationDriver(
             homogeneous_config(4),

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import figure1, figure7
+from repro.experiments import figure7
 from repro.runner import (
     ParallelRunner,
     PointSpec,
@@ -63,10 +63,14 @@ def test_expansion_matches_legacy_loop_order():
 
 
 def test_expansion_skips_degrees_above_system_size():
-    spec = figure1.build_spec(num_pe=8, degrees=(1, 4, 16), simulate=True)
+    sweep = Sweep(kind="fixed-degree", scenario="homogeneous", system_sizes=(8, 16),
+                  degrees=(1, 4, 16), x_axis="degree")
+    spec = ScenarioSpec(name="degrees", title="degrees", x_label="join procs",
+                        sweeps=(sweep,))
     points = spec.points()
-    assert {p.degree for p in points} == {1, 4}
-    assert all(p.x in (1.0, 4.0) for p in points)
+    # Degree 16 runs on the 16-PE system only.
+    assert [(p.num_pe, p.degree) for p in points] == [(8, 1), (8, 4), (16, 1), (16, 4), (16, 16)]
+    assert [p.x for p in points] == [1.0, 4.0, 1.0, 4.0, 16.0]
 
 
 def test_sweep_validation_rejects_bad_axes():
@@ -78,6 +82,8 @@ def test_sweep_validation_rejects_bad_axes():
         Sweep(kind="warp", strategies=("X",), system_sizes=(10,))
     with pytest.raises(ValueError):
         Sweep(kind="fixed-degree", system_sizes=(10,))
+    with pytest.raises(ValueError, match=r"degree 16 exceeds every system size \[4, 8\]"):
+        Sweep(kind="fixed-degree", system_sizes=(4, 8), degrees=(1, 16))
 
 
 def test_sweep_validation_rejects_x_axis_without_axis_values():

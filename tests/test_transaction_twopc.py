@@ -15,7 +15,7 @@ def test_mpl_limits_concurrency():
     starts = []
 
     def txn(name, duration):
-        yield from manager.admit(name)
+        yield manager.admit(name)
         starts.append((name, env.now))
         yield env.timeout(duration)
         manager.finish(name)
@@ -33,7 +33,7 @@ def test_input_queue_length_visible_while_saturated():
     manager = TransactionManager(env, pe_id=0, multiprogramming_level=1)
 
     def txn(txn_id, duration):
-        yield from manager.admit(txn_id)
+        yield manager.admit(txn_id)
         yield env.timeout(duration)
         manager.finish(txn_id)
 
@@ -59,7 +59,7 @@ def test_is_active_tracks_registration():
     events = []
 
     def proc():
-        yield from manager.admit(1)
+        yield manager.admit(1)
         events.append(manager.active_count)
         manager.finish(1)
         events.append(manager.active_count)
@@ -77,7 +77,7 @@ def test_purge_txn_frees_a_killed_transactions_slot_or_queue_place():
     starts = {}
 
     def txn(txn_id):
-        yield from manager.admit(txn_id)
+        yield manager.admit(txn_id)
         starts[txn_id] = env.now
         yield env.timeout(10)
         manager.finish(txn_id)
